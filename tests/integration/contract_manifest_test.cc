@@ -1,0 +1,220 @@
+/**
+ * @file
+ * Determinism contract, pinned: replays the scenarios listed in
+ * contract_manifest.h and requires every transcript hash, trace
+ * digest and state hash to equal its recorded value.
+ *
+ *  - fld_fuzz transcripts for seeds 1-50 of four families (EthEcho,
+ *    EthEcho with the pipeline decoration chain, ConnServe,
+ *    RpcServe). A transcript folds in every delivered payload digest,
+ *    trace hash, counter and oracle verdict of both the FLD and the
+ *    CPU run, so any reordering of events or any steering change
+ *    moves it.
+ *  - Causal trace digests of the four stock echo scenarios (FLD,
+ *    CPU RSS spread, VXLAN, MPRQ).
+ *  - The churn harness and heavy-hitter sketch state hashes.
+ *
+ * A mismatch prints the seed (or scenario), expected and actual value.
+ */
+#include "tests/integration/contract_manifest.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <string>
+
+#include "apps/churn_harness.h"
+#include "apps/fuzz_runner.h"
+#include "apps/scenarios.h"
+#include "bench/bench_util.h"
+#include "fld/sketch.h"
+#include "sim/fuzz.h"
+#include "sim/trace.h"
+#include "util/rng.h"
+
+namespace fld::contract {
+namespace {
+
+std::string
+hex(uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+    return buf;
+}
+
+void
+expect_pinned(const char* what, uint64_t expected, uint64_t actual)
+{
+    EXPECT_EQ(expected, actual) << what << ": expected " << hex(expected)
+                                << " actual " << hex(actual);
+}
+
+// ---------------------------------------------------------------------
+// fld_fuzz transcripts
+// ---------------------------------------------------------------------
+
+/** The exact runner configuration tools/fld_fuzz.cc uses. */
+apps::FuzzRunner
+make_runner()
+{
+    apps::FuzzRunOptions ropt;
+    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
+    ropt.base_tb = apps::TestbedConfig{};
+    ropt.check_trace = true;
+    return apps::FuzzRunner(ropt);
+}
+
+/** Seed's scenario forced into @p family and sized down to
+ *  regression-test budgets. */
+sim::FuzzScenario
+scenario_for(uint64_t seed, Family family)
+{
+    sim::ScenarioFuzzer fuzzer;
+    sim::FuzzScenario s = fuzzer.generate(seed);
+    switch (family) {
+    case Family::EthEcho:
+        s.workload.mode = sim::FuzzMode::EthEcho;
+        s.pipeline.enabled = false;
+        break;
+    case Family::EthEchoPipeline:
+        s.workload.mode = sim::FuzzMode::EthEcho;
+        s.pipeline.enabled = true;
+        break;
+    case Family::ConnServe:
+        s.workload.mode = sim::FuzzMode::ConnServe;
+        break;
+    case Family::RpcServe:
+        s.workload.mode = sim::FuzzMode::RpcServe;
+        break;
+    }
+    s.workload.packets = std::min(s.workload.packets, 16u);
+    s.conn.connections = std::min(s.conn.connections, 8u);
+    s.conn.requests = std::min(s.conn.requests, 2u);
+    s.rpc.connections = std::min(s.rpc.connections, 4u);
+    s.rpc.requests = std::min(s.rpc.requests, 2u);
+    return s;
+}
+
+TEST(ContractManifest, FiftySeedTranscriptHashesMatchPinned)
+{
+    static const char* const kNames[kFamilies] = {
+        "EthEcho", "EthEcho+pipeline", "ConnServe", "RpcServe"};
+    for (uint64_t seed = kFirstSeed; seed <= kLastSeed; ++seed) {
+        for (int f = 0; f < kFamilies; ++f) {
+            apps::FuzzVerdict v =
+                make_runner().run(scenario_for(seed, Family(f)));
+            uint64_t want = kTranscriptHash[seed - kFirstSeed][f];
+            EXPECT_EQ(want, v.transcript_hash)
+                << "seed " << seed << " family " << kNames[f]
+                << ": expected " << hex(want) << " actual "
+                << hex(v.transcript_hash);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stock echo trace digests
+// ---------------------------------------------------------------------
+
+apps::PktGenConfig
+small_echo_gen()
+{
+    apps::PktGenConfig g;
+    g.frame_size = 256;
+    g.window = 8;
+    return g;
+}
+
+/** fnv1a64 of the causal trace digest of one echo run. */
+template <typename Make>
+uint64_t
+echo_trace_hash(Make make, apps::EchoOptions opt, apps::PktGenConfig g)
+{
+    sim::Tracer tr;
+    tr.install();
+    auto s = make(true, g, apps::TestbedConfig{}, opt);
+    s->gen->start(sim::microseconds(10), sim::microseconds(100));
+    s->tb->eq.run();
+    tr.uninstall();
+    EXPECT_GT(tr.events().size(), 100u);
+    return sim::fnv1a64_str(tr.digest());
+}
+
+uint64_t
+fld_echo_trace_hash(apps::EchoOptions opt = {},
+                    apps::PktGenConfig g = small_echo_gen())
+{
+    return echo_trace_hash(
+        [](auto&&... a) { return apps::make_fld_echo(a...); }, opt, g);
+}
+
+uint64_t
+cpu_echo_trace_hash(apps::EchoOptions opt = {},
+                    apps::PktGenConfig g = small_echo_gen())
+{
+    return echo_trace_hash(
+        [](auto&&... a) { return apps::make_cpu_echo(a...); }, opt, g);
+}
+
+TEST(ContractManifest, EchoTraceDigestsMatchPinned)
+{
+    expect_pinned("fld echo", kFldEchoTraceHash, fld_echo_trace_hash());
+
+    apps::EchoOptions rss;
+    rss.echo_queues = 4;
+    apps::PktGenConfig rss_gen = small_echo_gen();
+    rss_gen.flows = 8;
+    expect_pinned("cpu echo rss spread", kCpuEchoRssSpreadTraceHash,
+                  cpu_echo_trace_hash(rss, rss_gen));
+
+    apps::EchoOptions vx;
+    vx.vxlan = true;
+    apps::PktGenConfig vx_gen = small_echo_gen();
+    vx_gen.vxlan = true;
+    expect_pinned("vxlan echo", kVxlanEchoTraceHash,
+                  fld_echo_trace_hash(vx, vx_gen));
+
+    apps::EchoOptions mprq;
+    mprq.driver_base.rx_buffers = 24;
+    mprq.driver_base.rx_strides = 16;
+    mprq.driver_base.rx_stride_shift = 10;
+    expect_pinned("mprq echo", kMprqEchoTraceHash,
+                  cpu_echo_trace_hash(mprq));
+}
+
+// ---------------------------------------------------------------------
+// Control-plane state hashes
+// ---------------------------------------------------------------------
+
+TEST(ContractManifest, StateHashesMatchPinned)
+{
+    apps::ChurnHarnessConfig cfg;
+    cfg.churn.tenants = 50;
+    cfg.churn.flows_per_tenant = 100;
+    cfg.churn.dup_open_prob = 0.02;
+    cfg.churn.stray_close_prob = 0.02;
+    cfg.churn.seed = 99;
+    cfg.tenant_rate_gbps = 0.5;
+    apps::ChurnReport rep = apps::ChurnHarness(cfg).run(100000);
+    EXPECT_TRUE(rep.ok());
+    expect_pinned("churn state_hash", kChurnStateHash, rep.state_hash);
+
+    core::HeavyHitterSketch sketch(core::SketchConfig{
+        .width = 1024, .depth = 4, .topk = 16, .seed = 0x1234});
+    fld::Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        // Skewed keys: a few heavy hitters over a long tail.
+        uint64_t key = rng.chance(0.3) ? rng.uniform(8)
+                                       : 1000 + rng.uniform(5000);
+        sketch.update(key, 1 + rng.uniform(1500));
+    }
+    expect_pinned("sketch state_hash", kSketchStateHash,
+                  sketch.state_hash());
+}
+
+} // namespace
+} // namespace fld::contract
