@@ -188,12 +188,10 @@ BENCHMARK(BM_EventQueueScheduleRun);
 static void
 BM_TimingWheel(benchmark::State& state)
 {
-    // Wheel-vs-heap A/B at a fastpath-like delay mix: a standing
-    // population of timers re-arming at wire/DMA horizons (2^14..2^21
-    // ps) with a 2% RTO-scale tail. arg 0 selects the engine.
-    sim::EventQueue eq(state.range(0) == 0
-                           ? sim::EventQueue::Engine::Wheel
-                           : sim::EventQueue::Engine::Heap);
+    // Fastpath-like delay mix: a standing population of timers
+    // re-arming at wire/DMA horizons (2^14..2^21 ps) with a 2%
+    // RTO-scale tail.
+    sim::EventQueue eq;
     constexpr int kPopulation = 512;
     uint64_t rng = 0x2545f4914f6cdd1dull;
     auto next = [&rng] {
@@ -232,7 +230,7 @@ BM_TimingWheel(benchmark::State& state)
     eq.clear();
     state.SetItemsProcessed(int64_t(fired));
 }
-BENCHMARK(BM_TimingWheel)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimingWheel);
 
 static void
 BM_PacketPipelineCopy(benchmark::State& state)

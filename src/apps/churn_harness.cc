@@ -1,5 +1,6 @@
 #include "apps/churn_harness.h"
 
+#include "sim/fuzz.h" // fnv1a64_u64
 #include "util/bitops.h"
 #include "util/strings.h"
 
@@ -24,16 +25,6 @@ resolve_directory(const ChurnHarnessConfig& cfg)
     if (d.tenants < cfg.churn.tenants)
         d.tenants = cfg.churn.tenants;
     return d;
-}
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 } // namespace
@@ -217,16 +208,15 @@ ChurnHarness::report()
         violate(std::move(why));
 
     // Deterministic digest over everything externally observable.
-    uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, dir_.size());
-    h = fnv1a(h, ds.opens);
-    h = fnv1a(h, ds.closes);
-    h = fnv1a(h, ds.packets);
-    h = fnv1a(h, ds.bytes);
+    uint64_t h = sim::fnv1a64_u64(dir_.size());
+    h = sim::fnv1a64_u64(ds.opens, h);
+    h = sim::fnv1a64_u64(ds.closes, h);
+    h = sim::fnv1a64_u64(ds.packets, h);
+    h = sim::fnv1a64_u64(ds.bytes, h);
     for (const auto& ts : dir_.tenants()) {
-        h = fnv1a(h, ts.flows_open);
-        h = fnv1a(h, ts.packets);
-        h = fnv1a(h, ts.bytes);
+        h = sim::fnv1a64_u64(ts.flows_open, h);
+        h = sim::fnv1a64_u64(ts.packets, h);
+        h = sim::fnv1a64_u64(ts.bytes, h);
     }
     r.state_hash = h;
     return r;

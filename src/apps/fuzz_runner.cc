@@ -48,7 +48,7 @@ nic_drops(const nic::NicStats& st)
  * the splice and the original rules deliver. ACL denies sit on a port
  * the workload never uses. Identical programs are installed for the
  * FLD and CPU runs, so the differential oracles judge the compiled
- * engine end to end.
+ * program end to end.
  */
 void
 install_pipeline_decorations(nic::NicDevice& dev,
@@ -266,14 +266,10 @@ FuzzRunner::run_eth(const sim::FuzzScenario& s, bool fld_path)
     PktGenConfig g = gen_config(s);
     TestbedConfig tbc = tb_config(s);
     EchoOptions eopt = echo_options(s);
-    // Pipeline dimension: both NICs steer through the compiled
-    // program; the server additionally gets the random decoration
-    // chain spliced in front of its rules (below).
-    if (s.pipeline.enabled)
-        tbc.nic.use_compiled_pipeline = true;
-
     auto drive = [&](Testbed& tb, PacketGen& gen,
                      driver::CpuDriver& gen_driver) {
+        // Pipeline dimension: the server gets the random decoration
+        // chain spliced in front of its rules.
         if (s.pipeline.enabled)
             install_pipeline_decorations(*tb.server_nic, s, g);
         if (s.shaper_gbps > 0)

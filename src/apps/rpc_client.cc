@@ -10,19 +10,6 @@
 
 namespace fld::apps {
 
-namespace {
-
-uint64_t
-fold_u64(uint64_t h, uint64_t v)
-{
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = uint8_t(v >> (8 * i));
-    return sim::fnv1a64(b, sizeof b, h);
-}
-
-} // namespace
-
 std::vector<uint8_t>
 build_defrag_payload(Rng& rng, uint32_t datum_len)
 {
@@ -346,7 +333,7 @@ RpcClientPool::on_response(uint32_t slot_index, rpc::Frame&& f)
 
     sim::TimePs lat = eq_.now() - s.t0;
     latency_.add(sim::to_us(lat));
-    latency_fold_ = fold_u64(latency_fold_, uint64_t(lat));
+    latency_fold_ = sim::fnv1a64_u64(uint64_t(lat), latency_fold_);
     digests_[s.req_id] =
         sim::fnv1a64(f.payload.data(), f.payload.size());
     ++stats_.responses;

@@ -17,10 +17,7 @@ constexpr uint32_t kClientIp = net::ipv4_addr(10, 0, 0, 2);
 uint64_t
 fold(uint64_t h, uint64_t v)
 {
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = uint8_t(v >> (8 * i));
-    return sim::fnv1a64(b, sizeof b, h);
+    return sim::fnv1a64_u64(v, h);
 }
 
 uint64_t

@@ -437,7 +437,7 @@ FlexDriver::bar_write(uint64_t addr, const uint8_t* data, size_t len)
             else
                 handle_tx_cqe(expanded);
         }
-        // The whole train leaves the FLD together: one wheel touch
+        // The whole train leaves the FLD together: one batch
         // schedules every delivery this block produced.
         if (!rx_burst_.empty()) {
             eq_.schedule_batch(eq_.now() + read_processing_ps(),

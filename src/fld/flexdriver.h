@@ -254,7 +254,8 @@ class FlexDriver : public pcie::PcieEndpoint
     /** Deliveries of the CQE block currently being expanded: a
      *  compressed block's mini-CQE train all leaves the FLD at the
      *  same tick, so bar_write collects the callbacks here and issues
-     *  them as one schedule_batch (one wheel touch per train). */
+     *  them as one schedule_batch (one level search per train; the
+     *  wheel's last-bucket memo files the rest). */
     std::vector<sim::EventQueue::Callback> rx_burst_;
     CreditHandler credit_handler_;
     ErrorHandler errors_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "sim/fuzz.h" // fnv1a64_u64
 #include "util/bitops.h"
 #include "util/logging.h"
 
@@ -17,9 +18,6 @@ mix(uint64_t x)
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
 }
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x00000100000001b3ull;
 } // namespace
 
 HeavyHitterSketch::HeavyHitterSketch(SketchConfig cfg) : cfg_(cfg)
@@ -147,18 +145,12 @@ HeavyHitterSketch::memory_bytes() const
 uint64_t
 HeavyHitterSketch::state_hash() const
 {
-    uint64_t h = kFnvBasis;
-    auto feed = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= kFnvPrime;
-        }
-    };
+    uint64_t h = sim::kFnvBasis;
     for (uint32_t c : rows_)
-        feed(c);
+        h = sim::fnv1a64_u64(c, h);
     for (const TopEntry& e : top()) { // sorted: order-independent
-        feed(e.key);
-        feed(e.estimate);
+        h = sim::fnv1a64_u64(e.key, h);
+        h = sim::fnv1a64_u64(e.estimate, h);
     }
     return h;
 }

@@ -77,17 +77,6 @@ struct NicConfig
     sim::TimePs cqe_coalesce_window = sim::nanoseconds(400);
 
     /**
-     * Route receive steering through the programmable match-action
-     * pipeline (nic/pipeline.h): the installed rules are compiled into
-     * a flat program (plus any explicit program set via
-     * NicDevice::set_pipeline_program) and the compiled lookup
-     * replaces the fixed eSwitch interpreter. Off by default; with the
-     * flag off the legacy path runs unchanged and golden traces stay
-     * bit-identical.
-     */
-    bool use_compiled_pipeline = false;
-
-    /**
      * Opt-in Ethernet wire fault knobs (loss/corruption/duplication/
      * reorder); active only when the testbed attaches a
      * sim::FaultPlan to the link. All-zero defaults leave the wire

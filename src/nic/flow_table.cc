@@ -179,45 +179,6 @@ FlowTables::remove_rule(uint64_t id)
     return false;
 }
 
-bool
-FlowTables::matches(const FlowMatch& m, const FlowFields& f)
-{
-    if (m.in_vport && *m.in_vport != f.in_vport)
-        return false;
-    if (m.ethertype && *m.ethertype != f.ethertype)
-        return false;
-    if (m.ip_proto && *m.ip_proto != f.ip_proto)
-        return false;
-    if (m.src_ip && *m.src_ip != f.src_ip)
-        return false;
-    if (m.dst_ip && *m.dst_ip != f.dst_ip)
-        return false;
-    if (m.sport && (!f.has_l4 || *m.sport != f.sport))
-        return false;
-    if (m.dport && (!f.has_l4 || *m.dport != f.dport))
-        return false;
-    if (m.is_fragment && *m.is_fragment != f.is_fragment)
-        return false;
-    if (m.vni && *m.vni != f.vni)
-        return false;
-    if (m.flow_tag && *m.flow_tag != f.flow_tag)
-        return false;
-    return true;
-}
-
-FlowRule*
-FlowTables::lookup(uint32_t table, const FlowFields& fields)
-{
-    auto it = tables_.find(table);
-    if (it == tables_.end())
-        return nullptr;
-    for (auto& rule : it->second) {
-        if (matches(rule.match, fields))
-            return &rule;
-    }
-    return nullptr;
-}
-
 uint64_t
 FlowTables::counter(uint32_t counter_id) const
 {

@@ -1,13 +1,15 @@
 /**
  * @file
- * Match-action flow tables (the NIC's embedded-switch steering engine).
+ * Match-action flow rules (the NIC's embedded-switch rule store).
  *
  * Models the ConnectX eSwitch / rte_flow pipeline of §2.3: numbered
  * tables hold prioritized rules; each rule matches packet fields and
  * applies an action list (tag, encap/decap, count, forward, goto).
  * FLD-E extends the action set with SendToAccel + next-table resume
  * (§5.3), which is exactly how inline acceleration re-enters the
- * pipeline mid-way.
+ * pipeline mid-way. The rules are not matched here: NicDevice compiles
+ * them with Pipeline::config_from (nic/pipeline.h) and steers through
+ * the compiled program, which also holds the per-rule hit counters.
  */
 #ifndef FLD_NIC_FLOW_TABLE_H
 #define FLD_NIC_FLOW_TABLE_H
@@ -55,9 +57,8 @@ enum class ActionType : uint8_t {
     ForwardQueue, ///< terminal: deliver to a specific RQ
     SendToAccel,  ///< terminal: FLD-E acceleration action
     Drop,         ///< terminal
-    // Programmable-pipeline extensions (nic/pipeline.h). The fixed
-    // interpreter executes them too, so rules installed via add_rule
-    // behave identically under both engines.
+    // Programmable-pipeline extensions (nic/pipeline.h); rules
+    // installed via add_rule may use them too.
     AclDeny,      ///< terminal: policy drop, counted separately
     NatRewrite,   ///< rewrite IPv4 addrs/ports (flags in arg0)
     VipSelect,    ///< pick a VIP pool backend, rewrite dst ip
@@ -101,8 +102,6 @@ struct FlowRule
     int priority = 0; ///< higher wins
     FlowMatch match;
     std::vector<Action> actions;
-    uint64_t hits = 0;
-    uint64_t hit_bytes = 0;
 };
 
 /** Pre-extracted packet fields the matcher tests against. */
@@ -125,7 +124,8 @@ struct FlowFields
     static FlowFields of(const net::Packet& pkt, VportId vport);
 };
 
-/** A set of numbered tables with prioritized rules. */
+/** A set of numbered tables with prioritized rules, plus the Count
+ *  counters and per-tag stats the steering datapath bumps. */
 class FlowTables
 {
   public:
@@ -136,11 +136,8 @@ class FlowTables
     /** Remove by id; returns false when absent. */
     bool remove_rule(uint64_t id);
 
-    /** Highest-priority matching rule in @p table, or null. */
-    FlowRule* lookup(uint32_t table, const FlowFields& fields);
-
-    /** Rule hit counters (Count actions accumulate here too). O(1):
-     *  steering counters are bumped per packet at line rate. */
+    /** Count-action byte counters, by counter id. O(1): steering
+     *  counters are bumped per packet at line rate. */
     uint64_t counter(uint32_t counter_id) const;
     void bump_counter(uint32_t counter_id, uint64_t bytes);
 
@@ -171,8 +168,6 @@ class FlowTables
     }
 
   private:
-    static bool matches(const FlowMatch& m, const FlowFields& f);
-
     std::map<uint32_t, std::vector<FlowRule>> tables_;
     std::unordered_map<uint32_t, uint64_t> counters_;
     std::unordered_map<uint32_t, TagStats> tag_stats_;

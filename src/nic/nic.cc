@@ -164,16 +164,13 @@ NicDevice::set_pipeline_program(PipelineConfig cfg)
 {
     for (const VipPoolConfig& p : cfg.pools)
         vip_pools_[p.id] = p.backends;
-    pipeline_.compile(cfg);
-    explicit_program_ = true;
-    pipeline_dirty_ = false;
+    program_.emplace(cfg);
 }
 
 void
 NicDevice::clear_pipeline_program()
 {
-    explicit_program_ = false;
-    pipeline_dirty_ = true;
+    program_.reset();
 }
 
 void
@@ -185,17 +182,23 @@ NicDevice::set_vip_pool(uint32_t pool_id, std::vector<uint32_t> backends)
 const Pipeline&
 NicDevice::pipeline()
 {
-    ensure_pipeline_compiled();
-    return pipeline_;
+    return steering_pipeline();
 }
 
-void
-NicDevice::ensure_pipeline_compiled()
+Pipeline&
+NicDevice::steering_pipeline()
 {
-    if (explicit_program_ || !pipeline_dirty_)
-        return;
-    pipeline_.compile(Pipeline::config_from(flows_));
-    pipeline_dirty_ = false;
+    if (program_)
+        return *program_;
+    if (pipeline_dirty_) {
+        // Hit counters belong to the rules, not to one compilation:
+        // installing or removing a rule keeps every other rule's.
+        Pipeline next(Pipeline::config_from(flows_));
+        next.carry_hits(pipeline_);
+        pipeline_ = std::move(next);
+        pipeline_dirty_ = false;
+    }
+    return pipeline_;
 }
 
 void
@@ -494,15 +497,7 @@ void
 NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                         uint32_t start_table)
 {
-    // Both steering engines share this action walker; they differ
-    // only in how the matching action list is found. The fixed
-    // interpreter scans the installed rules; the compiled program
-    // (NicConfig::use_compiled_pipeline) runs a flat masked scan and
-    // adds per-table default actions on a miss.
-    const bool compiled = cfg_.use_compiled_pipeline;
-    if (compiled)
-        ensure_pipeline_compiled();
-
+    Pipeline& pipe = steering_pipeline();
     uint32_t table = start_table;
     FlowFields fields = FlowFields::of(pkt, in_vport);
 
@@ -510,32 +505,18 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
         const Action* acts = nullptr;
         size_t count = 0;
         uint64_t rule_id = 0;
-        if (compiled) {
-            CompiledEntry* entry = pipeline_.lookup(table, fields);
-            if (entry) {
-                entry->hits++;
-                entry->hit_bytes += pkt.size();
-                acts = pipeline_.actions(*entry);
-                count = entry->action_count;
-                rule_id = entry->rule_id;
-            } else {
-                pipeline_.default_actions(table, acts, count);
-                if (count == 0) {
-                    stats_.drops_no_rule++;
-                    return;
-                }
-            }
+        if (CompiledEntry* entry = pipe.lookup(table, fields)) {
+            entry->hits++;
+            entry->hit_bytes += pkt.size();
+            acts = pipe.actions(*entry);
+            count = entry->action_count;
+            rule_id = entry->rule_id;
         } else {
-            FlowRule* rule = flows_.lookup(table, fields);
-            if (!rule) {
+            pipe.default_actions(table, acts, count);
+            if (count == 0) {
                 stats_.drops_no_rule++;
                 return;
             }
-            rule->hits++;
-            rule->hit_bytes += pkt.size();
-            acts = rule->actions.data();
-            count = rule->actions.size();
-            rule_id = rule->id;
         }
 
         for (size_t ai = 0; ai < count; ++ai) {
@@ -672,15 +653,13 @@ NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
 bool
 NicDevice::rx_table_matches(uint32_t table, const FlowFields& fields)
 {
-    if (!cfg_.use_compiled_pipeline)
-        return flows_.lookup(table, fields) != nullptr;
-    ensure_pipeline_compiled();
-    if (pipeline_.lookup(table, fields))
+    Pipeline& pipe = steering_pipeline();
+    if (pipe.lookup(table, fields))
         return true;
     // A table whose miss path has default actions still steers.
     const Action* acts = nullptr;
     size_t count = 0;
-    pipeline_.default_actions(table, acts, count);
+    pipe.default_actions(table, acts, count);
     return count != 0;
 }
 

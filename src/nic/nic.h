@@ -156,19 +156,19 @@ class NicDevice : public pcie::PcieEndpoint
     void set_meter(uint32_t meter_id, double gbps, uint64_t burst_bytes);
 
     /**
-     * Programmable pipeline (NicConfig::use_compiled_pipeline).
-     * Without an explicit program the compiled program is derived from
-     * the installed rules (Pipeline::config_from) and lazily recompiled
-     * after add_rule/remove_rule, so both engines serve the same
-     * ruleset. set_pipeline_program installs an explicit program with
-     * masked/ternary keys the rule API cannot express; rule changes no
-     * longer affect steering until clear_pipeline_program. Pools
-     * referenced by VipSelect actions come from the program and/or
-     * set_vip_pool.
+     * Programmable pipeline: all receive steering runs through a
+     * compiled nic::Pipeline. Without an explicit program it is
+     * derived from the installed rules (Pipeline::config_from) and
+     * lazily recompiled after add_rule/remove_rule; per-rule hit
+     * counters survive the recompile. set_pipeline_program installs
+     * an explicit program with masked/ternary keys the rule API
+     * cannot express; rule changes no longer affect steering until
+     * clear_pipeline_program. Pools referenced by VipSelect actions
+     * come from the program and/or set_vip_pool.
      */
     void set_pipeline_program(PipelineConfig cfg);
     void clear_pipeline_program();
-    /** Register a VIP pool for VipSelect actions (both engines). */
+    /** Register a VIP pool for VipSelect actions. */
     void set_vip_pool(uint32_t pool_id, std::vector<uint32_t> backends);
     /** The compiled program currently steering (compiles if dirty). */
     const Pipeline& pipeline();
@@ -316,8 +316,9 @@ class NicDevice : public pcie::PcieEndpoint
     void run_pipeline(net::Packet&& pkt, VportId in_vport,
                       uint32_t start_table);
     void offload_rx_checks(net::Packet& pkt);
-    /** Recompile the flows-derived program when rules changed. */
-    void ensure_pipeline_compiled();
+    /** The explicit program if one is set, else the rules-derived
+     *  program (recompiled first when rules changed). */
+    Pipeline& steering_pipeline();
     /** Would run_pipeline find work in @p table for @p fields? Used by
      *  vport delivery to decide rule steering vs the default TIR. */
     bool rx_table_matches(uint32_t table, const FlowFields& fields);
@@ -347,9 +348,9 @@ class NicDevice : public pcie::PcieEndpoint
 
     NetPort uplink_;
     FlowTables flows_;
-    Pipeline pipeline_;
+    Pipeline pipeline_;            ///< compiled from flows_
     bool pipeline_dirty_ = true;   ///< flows changed since compile
-    bool explicit_program_ = false;///< set_pipeline_program active
+    std::optional<Pipeline> program_; ///< set_pipeline_program
     std::map<uint32_t, std::vector<uint32_t>> vip_pools_;
     NicStats stats_;
     EventHandler events_;

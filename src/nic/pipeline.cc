@@ -1,6 +1,7 @@
 #include "nic/pipeline.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "net/toeplitz.h"
 
@@ -88,8 +89,8 @@ Pipeline::compile(const PipelineConfig& cfg)
         }
         ct.default_count = uint32_t(actions_.size()) - ct.default_begin;
 
-        // Descending priority, stable in config order — exactly the
-        // dispatch order FlowTables::add_rule maintains.
+        // Descending priority, stable in config order — the order
+        // FlowTables::add_rule keeps its rules in.
         std::vector<uint32_t> order(staged.size());
         for (uint32_t i = 0; i < order.size(); ++i)
             order[i] = i;
@@ -154,6 +155,22 @@ Pipeline::config_from(const FlowTables& flows)
     return cfg;
 }
 
+void
+Pipeline::carry_hits(const Pipeline& prev)
+{
+    std::unordered_map<uint64_t, const CompiledEntry*> by_rule;
+    for (const CompiledEntry& e : prev.entries_)
+        if (e.rule_id != 0)
+            by_rule.emplace(e.rule_id, &e);
+    for (CompiledEntry& e : entries_) {
+        auto it = by_rule.find(e.rule_id); // id 0 is never a key
+        if (it != by_rule.end()) {
+            e.hits = it->second->hits;
+            e.hit_bytes = it->second->hit_bytes;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Match
 // ---------------------------------------------------------------------
@@ -208,13 +225,13 @@ Pipeline::find_table(uint32_t id) const
     return &*it;
 }
 
-CompiledEntry*
-Pipeline::lookup(uint32_t table, const FlowFields& f)
+const CompiledEntry*
+Pipeline::lookup(uint32_t table, const FlowFields& f) const
 {
     const CompiledTable* t = find_table(table);
     if (!t)
         return nullptr;
-    CompiledEntry* e = entries_.data() + t->entry_begin;
+    const CompiledEntry* e = entries_.data() + t->entry_begin;
     for (uint32_t i = 0; i < t->entry_count; ++i, ++e) {
         if (key_matches(e->key, f))
             return e;

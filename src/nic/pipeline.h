@@ -1,36 +1,34 @@
 /**
  * @file
- * Programmable multi-table match-action pipeline (ROADMAP item 4).
+ * Programmable multi-table match-action pipeline: the NIC's only
+ * steering matcher.
  *
- * The fixed eSwitch of flow_table.h models §2.3's steering engine with
- * optional-field exact matches interpreted straight out of a
- * map-of-vectors. This file adds the programmable generalization in
- * the spirit of hXDP's on-NIC packet programs and Stratum's pipeline
- * processor: a declarative `PipelineConfig` — numbered tables of
- * prioritized entries with masked/ternary keys over the parsed field
- * vector, per-table default action lists, and VIP pools — compiled
- * into a flat, allocation-free executable form (`Pipeline`).
+ * §2.3's eSwitch steering is expressed in the spirit of hXDP's on-NIC
+ * packet programs and Stratum's pipeline processor: a declarative
+ * `PipelineConfig` — numbered tables of prioritized entries with
+ * masked/ternary keys over the parsed field vector, per-table default
+ * action lists, and VIP pools — compiled once into a flat,
+ * allocation-free executable form (`Pipeline`).
  *
- * Contract with the fixed engine: `Pipeline::config_from(FlowTables)`
- * expresses the currently installed rules as the *default program*,
- * and a compiled lookup over that program returns exactly the rule the
- * fixed `FlowTables::lookup` would (same priority order, same
- * tie-break by installation order, same optional-field semantics —
- * a present-with-zero match only accepts zero, and port matches
- * require a parsed L4 header). `NicDevice` routes receive steering
- * through the compiled program when `NicConfig::use_compiled_pipeline`
- * is set; with the flag off the legacy interpreter runs unchanged and
- * golden traces stay bit-identical.
+ * `Pipeline::config_from(FlowTables)` expresses the rules installed
+ * through NicDevice::add_rule as the *default program*: each
+ * optional FlowMatch field becomes an exact ternary component (a
+ * present-with-zero match only accepts zero, and port matches
+ * require a parsed L4 header), and entries dispatch by descending
+ * priority with ties broken by installation order. NicDevice serves
+ * all receive steering through the compiled default program, or
+ * through an explicit program installed with set_pipeline_program.
  *
- * The action set is shared with the fixed engine (`nic::Action`) and
- * grows three programmable-only kinds: ACL deny, NAT header rewrite,
- * and VIP load-balancer backend select.
+ * The action set (`nic::Action`) includes three programmable kinds
+ * beyond the paper's eSwitch: ACL deny, NAT header rewrite, and VIP
+ * load-balancer backend select.
  */
 #ifndef FLD_NIC_PIPELINE_H
 #define FLD_NIC_PIPELINE_H
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "nic/flow_table.h"
@@ -83,8 +81,8 @@ struct PipelineEntryConfig
     PipelineKey key;
     std::vector<Action> actions;
     /** Source FlowRule id for config_from programs (0 otherwise);
-     *  kept so Drop events report the same rule id as the fixed
-     *  engine. */
+     *  Drop events report it, and hit counters follow it across
+     *  recompiles. */
     uint64_t rule_id = 0;
 };
 
@@ -92,8 +90,8 @@ struct PipelineTableConfig
 {
     uint32_t id = 0;
     std::vector<PipelineEntryConfig> entries;
-    /** Executed on table miss. Empty = miss drops (fixed-engine
-     *  behaviour: drops_no_rule). */
+    /** Executed on table miss. Empty = miss drops (counted as
+     *  drops_no_rule). */
     std::vector<Action> default_actions;
 };
 
@@ -164,7 +162,7 @@ struct PipelineExecResult
 class Pipeline
 {
   public:
-    /** Matches the fixed interpreter's goto-depth limit. */
+    /** Goto-chain depth limit. */
     static constexpr int kMaxDepth = 16;
 
     Pipeline() = default;
@@ -173,17 +171,26 @@ class Pipeline
     /** Compile a declarative config, replacing any previous program.
      *  Entries are grouped by table id (duplicate table blocks merge
      *  in config order) and sorted by descending priority, stable in
-     *  config order — exactly FlowTables' dispatch order. */
+     *  config order — the order FlowTables keeps its rules in. */
     void compile(const PipelineConfig& cfg);
 
-    /** Express the fixed engine's installed rules as a declarative
-     *  program (the default program). */
+    /** Express installed rules as a declarative program (the default
+     *  program). */
     static PipelineConfig config_from(const FlowTables& flows);
+
+    /** Copy hit counters from @p prev onto the entries with the same
+     *  non-zero rule id (rules that survived a recompile). */
+    void carry_hits(const Pipeline& prev);
 
     /** Highest-priority matching entry of @p table, or null. Does not
      *  bump hit counters — callers account hits explicitly, so control
      *  plane peeks stay invisible. */
-    CompiledEntry* lookup(uint32_t table, const FlowFields& f);
+    const CompiledEntry* lookup(uint32_t table, const FlowFields& f) const;
+    CompiledEntry* lookup(uint32_t table, const FlowFields& f)
+    {
+        return const_cast<CompiledEntry*>(
+            std::as_const(*this).lookup(table, f));
+    }
 
     /** Action span of a matched entry. */
     const Action* actions(const CompiledEntry& e) const

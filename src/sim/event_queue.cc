@@ -1,42 +1,14 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace fld::sim {
 
-namespace {
-
-std::atomic<EventQueue::Engine> g_default_engine{[] {
-    const char* env = std::getenv("FLD_SIM_ENGINE");
-    if (env && std::strcmp(env, "heap") == 0)
-        return EventQueue::Engine::Heap;
-    return EventQueue::Engine::Wheel;
-}()};
-
-} // namespace
-
-EventQueue::Engine
-EventQueue::default_engine()
+EventQueue::EventQueue()
 {
-    return g_default_engine.load(std::memory_order_relaxed);
-}
-
-EventQueue::Engine
-EventQueue::set_default_engine(Engine e)
-{
-    return g_default_engine.exchange(e, std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(Engine engine) : engine_(engine)
-{
-    if (engine_ == Engine::Wheel) {
-        for (Level& lv : levels_)
-            lv.slots.assign(kSlots, {kNil, kNil});
-    }
+    for (Level& lv : levels_)
+        lv.slots.assign(kSlots, {kNil, kNil});
 }
 
 EventQueue::~EventQueue() = default;
@@ -72,10 +44,6 @@ EventQueue::place_node(TimePs when, uint32_t idx)
     nd.when = when;
     nd.seq = next_seq_++;
     ++pending_;
-    if (engine_ == Engine::Heap) {
-        heap_push(HeapEntry{when, nd.seq, idx});
-        return;
-    }
     // A time inside the bucket currently being drained (including a
     // past time just clamped to now) merges into the drain list by
     // position, so it still runs after every previously scheduled
@@ -307,60 +275,10 @@ EventQueue::refile_overflow()
 void
 EventQueue::schedule_batch(TimePs when, Callback* cbs, size_t n)
 {
-    if (n == 0)
-        return;
-    assert(when >= now_ && "scheduling into the past");
-    if (when < now_)
-        when = now_;
-    if (engine_ == Engine::Heap ||
-        (drain_active() && when < drain_end_)) {
-        for (size_t i = 0; i < n; ++i)
-            place_node(when, make_node(std::move(cbs[i])));
-        return;
-    }
-    // One wheel touch for the whole run: resolve the bucket via the
-    // first node's filing, then append the rest to the memoized slot.
-    place_node(when, make_node(std::move(cbs[0])));
-    for (size_t i = 1; i < n; ++i)
+    // After the first element files, the last-bucket memo lets the
+    // rest append to the same slot without a level search.
+    for (size_t i = 0; i < n; ++i)
         place_node(when, make_node(std::move(cbs[i])));
-}
-
-void
-EventQueue::heap_push(HeapEntry e)
-{
-    heap_.push_back(e);
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-        size_t parent = (i - 1) / 2;
-        if (!fires_before(heap_[i], heap_[parent]))
-            break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
-    }
-}
-
-EventQueue::HeapEntry
-EventQueue::heap_pop()
-{
-    HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    size_t n = heap_.size();
-    size_t i = 0;
-    for (;;) {
-        size_t left = 2 * i + 1;
-        if (left >= n)
-            break;
-        size_t best = left;
-        size_t right = left + 1;
-        if (right < n && fires_before(heap_[right], heap_[left]))
-            best = right;
-        if (!fires_before(heap_[best], heap_[i]))
-            break;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
-    }
-    return top;
 }
 
 uint64_t
@@ -392,37 +310,15 @@ EventQueue::run_wheel(bool bounded, TimePs deadline)
 }
 
 uint64_t
-EventQueue::run_heap(bool bounded, TimePs deadline)
-{
-    uint64_t executed = 0;
-    while (!heap_.empty()) {
-        if (bounded && heap_.front().when > deadline)
-            break;
-        HeapEntry top = heap_pop();
-        --pending_;
-        now_ = top.when;
-        Node& nd = node(top.node);
-        nd.cb.invoke_and_dispose();
-        free_nodes_.push_back(top.node);
-        ++executed;
-        ++executed_total_;
-    }
-    return executed;
-}
-
-uint64_t
 EventQueue::run()
 {
-    return engine_ == Engine::Wheel ? run_wheel(false, 0)
-                                    : run_heap(false, 0);
+    return run_wheel(false, 0);
 }
 
 uint64_t
 EventQueue::run_until(TimePs deadline)
 {
-    uint64_t executed = engine_ == Engine::Wheel
-                            ? run_wheel(true, deadline)
-                            : run_heap(true, deadline);
+    uint64_t executed = run_wheel(true, deadline);
     if (now_ < deadline)
         now_ = deadline;
     return executed;
@@ -431,13 +327,6 @@ EventQueue::run_until(TimePs deadline)
 void
 EventQueue::clear()
 {
-    if (engine_ == Engine::Heap) {
-        for (const HeapEntry& e : heap_)
-            release_node(e.node);
-        heap_.clear();
-        pending_ = 0;
-        return;
-    }
     for (Level& lv : levels_) {
         if (lv.summary == 0)
             continue;

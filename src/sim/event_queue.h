@@ -21,11 +21,11 @@
  * sifts — and steady-state operation performs zero heap allocations
  * once the pool has warmed up.
  *
- * The old binary-heap engine is retained behind Engine::Heap for
- * differential testing: both engines execute the identical total
- * order {when, seq}, so golden traces, same-seed rerun hashes and
- * fuzz oracle verdicts are bit-identical across engines (enforced by
- * tests/integration/wheel_heap_diff_test.cc).
+ * Execution follows the total order {when, seq} exactly. The wheel
+ * is replayed against a plain priority queue over that order in
+ * tests/sim/timing_wheel_test.cc, and the transcript hashes and trace
+ * digests that order produces are pinned in
+ * tests/integration/contract_manifest.h.
  */
 #ifndef FLD_SIM_EVENT_QUEUE_H
 #define FLD_SIM_EVENT_QUEUE_H
@@ -46,33 +46,11 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /** Ordering engine. Wheel is the production engine; Heap is the
-     *  legacy binary heap, kept for differential testing (identical
-     *  execution order, only the data structure differs). */
-    enum class Engine
-    {
-        Wheel,
-        Heap,
-    };
-
-    /**
-     * Engine used by default-constructed queues. Starts as Wheel, or
-     * whatever the FLD_SIM_ENGINE environment variable names ("heap"
-     * or "wheel") — handy for A/B runs of any bench or test binary
-     * without a rebuild.
-     */
-    static Engine default_engine();
-    /** Override the process-wide default (tests; returns previous). */
-    static Engine set_default_engine(Engine e);
-
-    EventQueue() : EventQueue(default_engine()) {}
-    explicit EventQueue(Engine engine);
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
-
-    Engine engine() const { return engine_; }
 
     /** Current simulated time. */
     TimePs now() const { return now_; }
@@ -114,12 +92,13 @@ class EventQueue
     }
 
     /**
-     * Burst batching: append a run of callbacks for the same @p when
-     * with a single wheel lookup. Equivalent to calling schedule_at
-     * once per element in order (same seq assignment, same execution
-     * order); hot producers that emit trains of same-timestamp events
-     * (mini-CQE trains, DMA chunk fans, doorbell coalescing) pay one
-     * bucket resolution for the whole run.
+     * Burst batching: append a run of callbacks for the same @p when.
+     * Equivalent to calling schedule_at once per element in order
+     * (same seq assignment, same execution order). Every element
+     * still files through the wheel; after the first, the last-bucket
+     * memo resolves the slot without a level search, so trains of
+     * same-timestamp events (mini-CQE trains, DMA chunk fans,
+     * doorbell coalescing) pay one level search for the whole run.
      */
     void schedule_batch(TimePs when, Callback* cbs, size_t n);
 
@@ -163,7 +142,7 @@ class EventQueue
     uint64_t executed_total() const { return executed_total_; }
     uint64_t scheduled_total() const { return next_seq_; }
 
-    /** Wheel-engine telemetry (all zero under Engine::Heap). */
+    /** Wheel telemetry. */
     struct WheelStats
     {
         uint64_t bucket_drains = 0;   ///< buckets pulled into the drain list
@@ -215,14 +194,6 @@ class EventQueue
         uint32_t next = kNil; ///< intrusive bucket-chain link
     };
 
-    /** Heap entry (Engine::Heap): ordering fields only. */
-    struct HeapEntry
-    {
-        TimePs when;
-        uint64_t seq;
-        uint32_t node;
-    };
-
     /** Drain-list entry: one event of the bucket being executed. */
     struct Ready
     {
@@ -240,13 +211,6 @@ class EventQueue
         uint64_t summary = 0;
     };
 
-    static bool fires_before(const HeapEntry& a, const HeapEntry& b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
-
     Node& node(uint32_t idx)
     {
         return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
@@ -259,7 +223,7 @@ class EventQueue
         free_nodes_.push_back(idx);
     }
 
-    /** Assign seq, clamp past times, route to heap/drain/wheel. */
+    /** Assign seq, clamp past times, route to drain list or wheel. */
     void place_node(TimePs when, uint32_t idx);
     void file_node(TimePs when, uint32_t idx);
     void drain_insert(TimePs when, uint64_t seq, uint32_t idx);
@@ -281,13 +245,8 @@ class EventQueue
             (kSlots - 1));
     }
 
-    void heap_push(HeapEntry e);
-    HeapEntry heap_pop();
-
     uint64_t run_wheel(bool bounded, TimePs deadline);
-    uint64_t run_heap(bool bounded, TimePs deadline);
 
-    Engine engine_;
     TimePs now_ = 0;
     uint64_t next_seq_ = 0;
     uint64_t executed_total_ = 0;
@@ -298,7 +257,7 @@ class EventQueue
     uint32_t node_count_ = 0;
     std::vector<uint32_t> free_nodes_;
 
-    // Wheel engine.
+    // Wheel.
     std::array<Level, kLevels> levels_;
     /** Wheel cursor: start of the region the wheel's slot indexing is
      *  relative to. Monotonic; may run ahead of now() when run_until
@@ -317,9 +276,6 @@ class EventQueue
     unsigned memo_level_ = 0;
     uint32_t memo_slot_ = 0;
     TimePs memo_key_ = 0;
-
-    // Heap engine.
-    std::vector<HeapEntry> heap_;
 };
 
 } // namespace fld::sim

@@ -115,7 +115,7 @@ struct RpcWorkload
  * (extra tables with masked/ternary entries, counters, tags, identity
  * NAT, single-backend VIP select, never-matching ACL denies, miss →
  * default goto) seeded from program_seed, and serves both the FLD and
- * the CPU run through the compiled engine — so the four differential
+ * the CPU run through that program — so the four differential
  * oracles judge random programs end to end. Like conn/rpc, every
  * generated scenario carries valid pipeline fields so `fld_fuzz
  * --pipeline` can force the dimension onto any seed.
@@ -251,6 +251,17 @@ inline uint64_t
 fnv1a64_str(const std::string& s, uint64_t h = kFnvBasis)
 {
     return fnv1a64(s.data(), s.size(), h);
+}
+
+/** Fold one u64 into @p h as its 8 little-endian bytes. */
+inline uint64_t
+fnv1a64_u64(uint64_t v, uint64_t h = kFnvBasis)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= kFnvPrime;
+    }
+    return h;
 }
 
 } // namespace fld::sim

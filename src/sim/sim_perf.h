@@ -32,9 +32,8 @@ struct SimPerfSample
     uint64_t events = 0;   ///< engine events executed during the run
     uint64_t packets = 0;  ///< packets delivered during the run
     TimePs sim_time = 0;   ///< simulated time the run advanced
-    /** Wheel-engine telemetry for the run: bucket occupancy and
-     *  cascade counts (all zero under Engine::Heap). Capture with
-     *  take_wheel_stats(). */
+    /** Timing-wheel telemetry for the run: bucket occupancy and
+     *  cascade counts. Capture with take_wheel_stats(). */
     EventQueue::WheelStats wheel;
 
     /** Diff @p eq's lifetime wheel stats against @p start_of_run. */

@@ -274,10 +274,10 @@ TEST(FlexDriverAccelAction, NextTableResume)
     {
         net::Packet probe = tb.make_frame(64);
         probe.meta.flow_tag = 9;
-        nic::FlowRule* r = tb.nic->flows().lookup(
+        const nic::CompiledEntry* e = tb.nic->pipeline().lookup(
             7, nic::FlowFields::of(probe, tb.fld_vport));
-        ASSERT_NE(r, nullptr);
-        resumed = r->id == resume_rule && r->hits == 1;
+        ASSERT_NE(e, nullptr);
+        resumed = e->rule_id == resume_rule && e->hits == 1;
     }
     EXPECT_TRUE(resumed) << "resume-table rule must have been hit";
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Match-action table tests (wildcards, priorities, counters) plus
+ * Match-action rule tests (wildcards, priorities, counters), matched
+ * through the compiled default program (Pipeline::config_from), plus
  * property tests for the VXLAN tunnel actions and eSwitch RSS
  * steering over decapsulated inner headers.
  */
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "net/headers.h"
+#include "nic/pipeline.h"
 #include "net/toeplitz.h"
 #include "tests/nic/nic_test_fixture.h"
 #include "util/rng.h"
@@ -45,12 +47,28 @@ TEST(FlowFields, ExtractsUdpTuple)
     EXPECT_FALSE(f.is_fragment);
 }
 
+/** Id of the rule the compiled default program of @p t picks for
+ *  @p f in @p table, or 0 on a miss (rule ids start at 1). */
+uint64_t
+matched_rule(const FlowTables& t, uint32_t table, const FlowFields& f)
+{
+    Pipeline p(Pipeline::config_from(t));
+    const CompiledEntry* e = p.lookup(table, f);
+    return e ? e->rule_id : 0;
+}
+
+uint64_t
+matched_rule(const FlowTables& t, uint32_t table, const net::Packet& pkt)
+{
+    return matched_rule(t, table, FlowFields::of(pkt, 0));
+}
+
 TEST(FlowTables, WildcardMatchesEverything)
 {
     FlowTables t;
-    t.add_rule(0, 0, {}, {drop_action()});
+    uint64_t id = t.add_rule(0, 0, {}, {drop_action()});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_NE(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, pkt), id);
 }
 
 TEST(FlowTables, FieldMatching)
@@ -59,12 +77,12 @@ TEST(FlowTables, FieldMatching)
     FlowMatch m;
     m.dport = 4789;
     m.ip_proto = net::kIpProtoUdp;
-    t.add_rule(0, 0, m, {drop_action()});
+    uint64_t id = t.add_rule(0, 0, m, {drop_action()});
 
     net::Packet hit = udp_packet(1, 2, 999, 4789);
     net::Packet miss = udp_packet(1, 2, 999, 80);
-    EXPECT_NE(t.lookup(0, FlowFields::of(hit, 0)), nullptr);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(miss, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, hit), id);
+    EXPECT_EQ(matched_rule(t, 0, miss), 0u);
 }
 
 TEST(FlowTables, PriorityOrdering)
@@ -76,14 +94,10 @@ TEST(FlowTables, PriorityOrdering)
     uint64_t high = t.add_rule(0, 10, specific, {fwd_vport(2)});
 
     net::Packet pkt = udp_packet(1, 2, 3, 80);
-    FlowRule* r = t.lookup(0, FlowFields::of(pkt, 0));
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->id, high);
+    EXPECT_EQ(matched_rule(t, 0, pkt), high);
 
     net::Packet other = udp_packet(1, 2, 3, 81);
-    r = t.lookup(0, FlowFields::of(other, 0));
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->id, low);
+    EXPECT_EQ(matched_rule(t, 0, other), low);
 }
 
 TEST(FlowTables, EqualPriorityIsInsertionOrder)
@@ -92,7 +106,7 @@ TEST(FlowTables, EqualPriorityIsInsertionOrder)
     uint64_t first = t.add_rule(0, 5, {}, {drop_action()});
     t.add_rule(0, 5, {}, {fwd_vport(1)});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0))->id, first);
+    EXPECT_EQ(matched_rule(t, 0, pkt), first);
 }
 
 TEST(FlowTables, RemoveRule)
@@ -104,16 +118,16 @@ TEST(FlowTables, RemoveRule)
     EXPECT_FALSE(t.remove_rule(id));
     EXPECT_EQ(t.rule_count(), 0u);
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, pkt), 0u);
 }
 
 TEST(FlowTables, TablesAreIndependent)
 {
     FlowTables t;
-    t.add_rule(1, 0, {}, {drop_action()});
+    uint64_t id = t.add_rule(1, 0, {}, {drop_action()});
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
-    EXPECT_NE(t.lookup(1, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, pkt), 0u);
+    EXPECT_EQ(matched_rule(t, 1, pkt), id);
 }
 
 TEST(FlowTables, FragmentMatching)
@@ -121,17 +135,17 @@ TEST(FlowTables, FragmentMatching)
     FlowTables t;
     FlowMatch frag_match;
     frag_match.is_fragment = true;
-    t.add_rule(0, 0, frag_match, {fwd_queue(9)});
+    uint64_t id = t.add_rule(0, 0, frag_match, {fwd_queue(9)});
 
     net::Packet pkt = udp_packet(1, 2, 3, 4);
-    EXPECT_EQ(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, pkt), 0u);
 
     // Forge fragment bits.
     net::Ipv4Header ih =
         net::Ipv4Header::decode(pkt.bytes() + net::kEthHeaderLen);
     ih.more_fragments = true;
     ih.encode(pkt.bytes() + net::kEthHeaderLen, true);
-    EXPECT_NE(t.lookup(0, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 0, pkt), id);
 }
 
 TEST(FlowTables, TagMatchingAfterSetTag)
@@ -139,13 +153,61 @@ TEST(FlowTables, TagMatchingAfterSetTag)
     FlowTables t;
     FlowMatch tag_match;
     tag_match.flow_tag = 0x42;
-    t.add_rule(2, 0, tag_match, {drop_action()});
+    uint64_t id = t.add_rule(2, 0, tag_match, {drop_action()});
 
     net::Packet pkt = udp_packet(1, 2, 3, 4);
     pkt.meta.flow_tag = 0x42;
-    EXPECT_NE(t.lookup(2, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 2, pkt), id);
     pkt.meta.flow_tag = 0x43;
-    EXPECT_EQ(t.lookup(2, FlowFields::of(pkt, 0)), nullptr);
+    EXPECT_EQ(matched_rule(t, 2, pkt), 0u);
+}
+
+TEST(FlowTables, EachMatchFieldIsExactAndTheRestWildcard)
+{
+    FlowFields base = FlowFields::of(
+        udp_packet(ipv4_addr(10, 0, 0, 1), ipv4_addr(10, 0, 0, 2), 5, 7),
+        3);
+    base.vni = 77;
+    base.flow_tag = 0x42;
+
+    // One rule per FlowMatch field, matching base on that field only;
+    // flipping that field in the packet must turn the hit into a miss.
+    using Set = void (*)(FlowMatch&, const FlowFields&);
+    using Flip = void (*)(FlowFields&);
+    const std::pair<Set, Flip> fields[] = {
+        {[](FlowMatch& m, const FlowFields& f) { m.in_vport = f.in_vport; },
+         [](FlowFields& f) { f.in_vport ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.ethertype = f.ethertype; },
+         [](FlowFields& f) { f.ethertype ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.ip_proto = f.ip_proto; },
+         [](FlowFields& f) { f.ip_proto ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.src_ip = f.src_ip; },
+         [](FlowFields& f) { f.src_ip ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.dst_ip = f.dst_ip; },
+         [](FlowFields& f) { f.dst_ip ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.sport = f.sport; },
+         [](FlowFields& f) { f.sport ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.dport = f.dport; },
+         [](FlowFields& f) { f.has_l4 = false; }}, // ports need L4
+        {[](FlowMatch& m, const FlowFields& f) {
+             m.is_fragment = f.is_fragment;
+         },
+         [](FlowFields& f) { f.is_fragment = !f.is_fragment; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.vni = f.vni; },
+         [](FlowFields& f) { f.vni ^= 1; }},
+        {[](FlowMatch& m, const FlowFields& f) { m.flow_tag = f.flow_tag; },
+         [](FlowFields& f) { f.flow_tag ^= 1; }},
+    };
+    for (size_t i = 0; i < std::size(fields); ++i) {
+        FlowTables t;
+        FlowMatch m;
+        fields[i].first(m, base);
+        uint64_t id = t.add_rule(0, 0, m, {drop_action()});
+        EXPECT_EQ(matched_rule(t, 0, base), id) << "field " << i;
+        FlowFields other = base;
+        fields[i].second(other);
+        EXPECT_EQ(matched_rule(t, 0, other), 0u) << "field " << i;
+    }
 }
 
 TEST(FlowTables, Counters)

@@ -116,15 +116,19 @@ TEST(FldRuntime, AccelActionInstallsTagAndResume)
                           .udp(1000, 5683)
                           .payload(std::vector<uint8_t>{1})
                           .build();
-    nic::FlowRule* rule = rig.nic->flows().lookup(
-        0, nic::FlowFields::of(pkt, nic::kUplinkVport));
+    const nic::Pipeline& pipe = rig.nic->pipeline();
+    const nic::CompiledEntry* rule =
+        pipe.lookup(0, nic::FlowFields::of(pkt, nic::kUplinkVport));
     ASSERT_NE(rule, nullptr);
-    ASSERT_EQ(rule->actions.size(), 2u);
-    EXPECT_EQ(rule->actions[0].type, nic::ActionType::SetTag);
-    EXPECT_EQ(rule->actions[0].arg0, 9u);
-    EXPECT_EQ(rule->actions[1].type, nic::ActionType::SendToAccel);
-    EXPECT_EQ(rule->actions[1].arg0, q.rqn);
-    EXPECT_EQ(rule->actions[1].arg1, 7u);
+    EXPECT_EQ(rule->rule_id, id);
+    EXPECT_EQ(rule->hits, 0u);
+    ASSERT_EQ(rule->action_count, 2u);
+    const nic::Action* acts = pipe.actions(*rule);
+    EXPECT_EQ(acts[0].type, nic::ActionType::SetTag);
+    EXPECT_EQ(acts[0].arg0, 9u);
+    EXPECT_EQ(acts[1].type, nic::ActionType::SendToAccel);
+    EXPECT_EQ(acts[1].arg0, q.rqn);
+    EXPECT_EQ(acts[1].arg1, 7u);
 }
 
 TEST(FldRuntime, AccelActionWithoutTag)
@@ -139,11 +143,12 @@ TEST(FldRuntime, AccelActionWithoutTag)
                           .udp(1, 2)
                           .payload(std::vector<uint8_t>{1})
                           .build();
-    nic::FlowRule* rule = rig.nic->flows().lookup(
-        0, nic::FlowFields::of(pkt, nic::kUplinkVport));
+    const nic::Pipeline& pipe = rig.nic->pipeline();
+    const nic::CompiledEntry* rule =
+        pipe.lookup(0, nic::FlowFields::of(pkt, nic::kUplinkVport));
     ASSERT_NE(rule, nullptr);
-    ASSERT_EQ(rule->actions.size(), 1u);
-    EXPECT_EQ(rule->actions[0].type, nic::ActionType::SendToAccel);
+    ASSERT_EQ(rule->action_count, 1u);
+    EXPECT_EQ(pipe.actions(*rule)[0].type, nic::ActionType::SendToAccel);
 }
 
 TEST(FldRuntime, EventChannelForwardsBothSources)

@@ -4,14 +4,16 @@
  * landing in empty buckets, same-tick FIFO across bucket boundaries,
  * exact O(1) counters (including clear() mid-cascade), past-time
  * clamping while the clamped bucket is mid-drain, burst batching, and
- * a heap-vs-wheel execution-order differential on a randomized
- * re-entrant workload.
+ * an execution-order differential against a reference priority queue
+ * on a randomized re-entrant workload.
  */
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -32,7 +34,7 @@ TEST(TimingWheel, FarFutureEventsCascadeDown)
     // An event filed at an upper level must cascade through every
     // level below as the clock approaches, and still fire at its
     // exact timestamp in (when, seq) order.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     const TimePs far = 3 * slot_width(2) + 12345; // a level-2 resident
     eq.schedule_at(far, [&] { order.push_back(2); });
@@ -52,7 +54,7 @@ TEST(TimingWheel, BeyondHorizonOverflowRefilesAndFires)
     // of simulated time is unreachable by real workloads, but RTO
     // arithmetic on corrupted state could produce such timestamps and
     // they must not be lost or misordered.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     std::vector<int> order;
     eq.schedule_at(horizon + 500, [&] { order.push_back(2); });
@@ -73,7 +75,7 @@ TEST(TimingWheel, RunUntilDeadlineInsideEmptyBucketParksCleanly)
     // both before and after it: everything <= deadline fires, the
     // clock parks exactly on the deadline, and the later event
     // neither fires early nor gets lost.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule_at(1000, [&] { order.push_back(0); });
     const TimePs later = 40 * slot_width(0) + 17;
@@ -97,7 +99,7 @@ TEST(TimingWheel, RunUntilRepeatedEmptyDeadlinesStayMonotonic)
 {
     // Successive bounded runs with deadlines in empty buckets must
     // keep now() monotonic and still execute a far event dead on time.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     int fired = 0;
     const TimePs when = 5 * slot_width(1) + 99;
     eq.schedule_at(when, [&] { fired = 1; });
@@ -118,7 +120,7 @@ TEST(TimingWheel, SameTickFifoAcrossBucketBoundary)
     // first tick of the next: within each tick, execution must follow
     // scheduling order even though the ticks land in different
     // buckets and the interleaving alternates between them.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs last = 8 * slot_width(0) - 1; // bucket 7's final tick
     const TimePs first = 8 * slot_width(0);    // bucket 8's first tick
     std::vector<std::pair<TimePs, int>> order;
@@ -140,7 +142,7 @@ TEST(TimingWheel, SameTickFifoAcrossBucketBoundary)
 
 TEST(TimingWheel, PendingIsExactAcrossLevelsAndOverflow)
 {
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     std::vector<TimePs> whens = {
         5,                      // current bucket
@@ -173,7 +175,7 @@ TEST(TimingWheel, ClearMidCascadeKeepsCountersExact)
     // same-tick events and upper levels + overflow hold cascaded and
     // far work: everything pending is dropped, lifetime counters stay
     // exact, and the queue remains usable.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     const TimePs horizon = TimePs(1) << EventQueue::kHorizonShift;
     int fired = 0;
     const TimePs tick = 2 * slot_width(1) + 7; // forces a cascade first
@@ -206,7 +208,7 @@ TEST(TimingWheel, PastClampMidDrainRunsAfterAllSameTickEvents)
     // clamped event must run this tick but after *every* previously
     // scheduled same-tick event — those still ahead in the drain list
     // and a re-entrant schedule made before the clamp.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     const TimePs tick = 3 * slot_width(0) + 5;
     eq.schedule_at(tick, [&] {
@@ -228,7 +230,7 @@ TEST(TimingWheel, ScheduleBatchMatchesIndividualScheduling)
     // schedule_batch(when, cbs, n) must be observationally identical
     // to n schedule_at calls: same seq assignment, same FIFO order
     // interleaved with ordinary schedules on the same tick.
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule_at(500, [&] { order.push_back(0); });
     EventQueue::Callback batch[3] = {
@@ -247,7 +249,7 @@ TEST(TimingWheel, ScheduleBatchMatchesIndividualScheduling)
 
 TEST(TimingWheel, ScheduleBurstVariadicKeepsOrder)
 {
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule_burst(
         100, [&] { order.push_back(0); }, [&] { order.push_back(1); },
@@ -260,7 +262,7 @@ TEST(TimingWheel, StatsSeeBucketBatching)
 {
     // A same-tick train drains as one bucket: occupancy telemetry must
     // report it (this is the signal bench_sim_perf surfaces).
-    EventQueue eq(EventQueue::Engine::Wheel);
+    EventQueue eq;
     for (int i = 0; i < 32; ++i)
         eq.schedule_at(1000, [] {});
     eq.run();
@@ -272,37 +274,58 @@ TEST(TimingWheel, StatsSeeBucketBatching)
                      32.0 / double(ws.bucket_drains));
 }
 
-TEST(TimingWheel, HeapEngineReportsNoWheelStats)
+/**
+ * Reference scheduler: a plain priority queue over the total order
+ * {when, seq} that the wheel must reproduce exactly.
+ */
+class ReferenceQueue
 {
-    EventQueue eq(EventQueue::Engine::Heap);
-    for (int i = 0; i < 8; ++i)
-        eq.schedule_at(100 * TimePs(i + 1), [] {});
-    eq.run();
-    EXPECT_EQ(eq.wheel_stats().bucket_drains, 0u);
-    EXPECT_EQ(eq.wheel_stats().drained_events, 0u);
-    EXPECT_EQ(eq.executed_total(), 8u);
-}
+  public:
+    TimePs now() const { return now_; }
 
-TEST(TimingWheel, DefaultEngineOverrideRoundTrips)
-{
-    EventQueue::Engine prev =
-        EventQueue::set_default_engine(EventQueue::Engine::Heap);
-    EXPECT_EQ(EventQueue().engine(), EventQueue::Engine::Heap);
-    EventQueue::set_default_engine(EventQueue::Engine::Wheel);
-    EXPECT_EQ(EventQueue().engine(), EventQueue::Engine::Wheel);
-    EventQueue::set_default_engine(prev);
-}
+    void schedule_in(TimePs delay, std::function<void()> fn)
+    {
+        queue_.push(Entry{now_ + delay, next_seq_++, std::move(fn)});
+    }
+
+    void run()
+    {
+        while (!queue_.empty()) {
+            Entry e = queue_.top();
+            queue_.pop();
+            now_ = e.when;
+            e.fn();
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        TimePs when;
+        uint64_t seq;
+        std::function<void()> fn;
+
+        bool operator>(const Entry& o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+    TimePs now_ = 0;
+    uint64_t next_seq_ = 0;
+};
 
 /**
  * Randomized re-entrant workload driven by a deterministic xorshift:
  * every callback logs (now, id) and may schedule followups at mixed
  * horizons — zero-delay, sub-bucket, cross-bucket, cross-level and
- * occasionally near-horizon. Executed identically by both engines.
+ * occasionally near-horizon. Executed identically by both queues.
  */
+template <typename Queue>
 std::vector<std::pair<TimePs, uint32_t>>
-run_mixed_workload(EventQueue::Engine engine)
+run_mixed_workload()
 {
-    EventQueue eq(engine);
+    Queue eq;
     std::vector<std::pair<TimePs, uint32_t>> log;
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
@@ -314,7 +337,7 @@ run_mixed_workload(EventQueue::Engine engine)
     uint32_t id = 0;
     struct Spawner
     {
-        EventQueue& eq;
+        Queue& eq;
         std::vector<std::pair<TimePs, uint32_t>>& log;
         decltype(next)& rnd;
         uint32_t& id;
@@ -348,10 +371,10 @@ run_mixed_workload(EventQueue::Engine engine)
 
 TEST(TimingWheel, WheelMatchesHeapOnMixedReentrantWorkload)
 {
-    auto wheel = run_mixed_workload(EventQueue::Engine::Wheel);
-    auto heap = run_mixed_workload(EventQueue::Engine::Heap);
+    auto wheel = run_mixed_workload<EventQueue>();
+    auto reference = run_mixed_workload<ReferenceQueue>();
     ASSERT_GT(wheel.size(), 100u);
-    EXPECT_EQ(wheel, heap);
+    EXPECT_EQ(wheel, reference);
 }
 
 } // namespace

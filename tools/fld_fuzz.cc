@@ -29,8 +29,7 @@
  *                   RPC harness; the differential oracle diffs
  *                   per-request response digests across the modes
  *   --pipeline=N    pipeline-program mode: N seeds, each forced to
- *                   FuzzMode::EthEcho with the compiled match-action
- *                   pipeline enabled and a random decoration program
+ *                   FuzzMode::EthEcho with a random decoration program
  *                   (every seed carries valid pipeline draws) spliced
  *                   into the echo steering; FLD vs CPU differential
  *                   plus all four oracle families judge the program
@@ -257,7 +256,7 @@ run_rpc_mode(const CliOptions& o)
  * tail of the generator's draw order, so any seed replays identically
  * with the dimension forced on. The mode is forced to EthEcho (the
  * decoration chain splices into the echo steering rules) and the
- * compiled engine serves both the FLD and CPU runs.
+ * decorated program serves both the FLD and CPU runs.
  */
 int
 run_pipeline_mode(const CliOptions& o)
