@@ -143,6 +143,36 @@ constexpr uint64_t kCpuEchoRssSpreadTraceHash = 0x64b0cae93c34c11d;
 constexpr uint64_t kVxlanEchoTraceHash = 0x12c3e3b2c7e03a4d;
 constexpr uint64_t kMprqEchoTraceHash = 0x2a70622d9264f4c3;
 
+/** sim::fnv1a64_str of ScenarioFuzzer::generate(seed).to_string(),
+ *  folded in seed order over seeds 1..kDumpLastSeed. Pins the
+ *  generator's draw order and the dump bytes of every natural mode;
+ *  runs no simulation. */
+constexpr uint64_t kDumpLastSeed = 200;
+constexpr uint64_t kScenarioDumpFold = 0xc5394d96bbffbd39;
+
+/** ChurnReport::state_hash of `fld_fuzz --churn` seeds 1..50 (the
+ *  seed's churn_scenario run for 4x its target population). */
+constexpr uint64_t kChurnLastSeed = 50;
+constexpr std::array<uint64_t, kChurnLastSeed> kChurnSeedStateHash = {{
+    0xb90749520fc4e151, 0x3a924e2ed95456d6, 0x314e705d2c2c6b67,
+    0x6f5171eb62e878e0, 0x03e5bbd78239963d, 0x7e497ce641932fb1,
+    0x260bd4fc619fabf0, 0x913be2152dc95bdd, 0x8ecb5e9f02ea7436,
+    0x31e0a4e0fde48ddf, 0x9f5e824043b2a465, 0x5f970d97ccfec5c6,
+    0x3def2da0cc9a08b3, 0x836577644dacc2dc, 0xaddb0ca24045f896,
+    0xee4390ede0aeb55f, 0xe415e25fb00596ce, 0x367f4a89789c9a40,
+    0x8f18066b2fedb464, 0xfefb4506bc297576, 0x8874c8618037ca13,
+    0xb1891cfe6fb44850, 0xcfe7320c8ab90e94, 0x3e77143d45ae9621,
+    0x794ecf4ad97d5b83, 0x8649e3dee0472c33, 0xa9ea4384033dd0cc,
+    0xd836565fa43f0891, 0xf526e90dc7b12fee, 0x96eb10e5094d1fb6,
+    0x269264badf34ddcf, 0x58f04919e58155aa, 0x45c1a2fa78930979,
+    0x1f29a6ba6176ba78, 0x7db6588b08b4530a, 0x0a3396c033f450a2,
+    0x6e3c11416b8f7696, 0x1708c84db5ef9add, 0xe36980a8a56024a4,
+    0x29742e321df5460f, 0x87a292e033547b25, 0xda7b32a1ecadb697,
+    0x4f7692687c04736b, 0xfa6dfb7644911792, 0x18a1dc44f3cbd883,
+    0xdc8a58d25cfcc406, 0x63601b71d47c7ce0, 0xe05801bc64fd0a69,
+    0xa7e33d428a259141, 0x44743a7b11e8460f,
+}};
+
 /** ChurnReport::state_hash of the reference churn run. */
 constexpr uint64_t kChurnStateHash = 0xc69426c2f2e0d1cd;
 /** HeavyHitterSketch::state_hash of the reference update stream. */
