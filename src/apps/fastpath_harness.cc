@@ -16,12 +16,6 @@ constexpr uint32_t kServerIp = net::ipv4_addr(10, 0, 0, 1);
 constexpr uint32_t kClientIp = net::ipv4_addr(10, 0, 0, 2);
 
 uint64_t
-fold(uint64_t h, uint64_t v)
-{
-    return sim::fnv1a64_u64(v, h);
-}
-
-uint64_t
 nic_drops(const nic::NicStats& st)
 {
     return st.drops_no_buffer + st.drops_rule + st.drops_meter +
@@ -380,17 +374,19 @@ run_fastpath_scenario(const FastPathHarnessConfig& cfg)
     // Flow hash: per-flow digests from both ends, in port order.
     uint64_t h = sim::kFnvBasis;
     for (const auto& [port, f] : r.client_flows) {
-        h = fold(h, port);
-        h = fold(h, f.bytes);
-        h = fold(h, f.digest);
-        h = fold(h, uint64_t(f.opened) | uint64_t(f.closed) << 1 |
-                        uint64_t(f.reset) << 2);
+        h = sim::fnv1a64_u64(port, h);
+        h = sim::fnv1a64_u64(f.bytes, h);
+        h = sim::fnv1a64_u64(f.digest, h);
+        h = sim::fnv1a64_u64(uint64_t(f.opened) |
+                                 uint64_t(f.closed) << 1 |
+                                 uint64_t(f.reset) << 2,
+                             h);
     }
     for (const auto& [port, f] : r.server_flows) {
-        h = fold(h, port);
-        h = fold(h, f.bytes);
-        h = fold(h, f.digest);
-        h = fold(h, uint64_t(f.closed) | uint64_t(f.reset) << 1);
+        h = sim::fnv1a64_u64(port, h);
+        h = sim::fnv1a64_u64(f.bytes, h);
+        h = sim::fnv1a64_u64(f.digest, h);
+        h = sim::fnv1a64_u64(uint64_t(f.closed) | uint64_t(f.reset) << 1, h);
     }
     r.flow_hash = h;
 
@@ -398,28 +394,28 @@ run_fastpath_scenario(const FastPathHarnessConfig& cfg)
     // the same config must reproduce this bit-for-bit.
     for (const driver::FastPathStats* st :
          {&r.client_stats, &r.server_stats}) {
-        h = fold(h, st->frames_tx);
-        h = fold(h, st->frames_rx);
-        h = fold(h, st->segments_sent);
-        h = fold(h, st->segments_received);
-        h = fold(h, st->retransmits);
-        h = fold(h, st->pure_acks_sent);
-        h = fold(h, st->dup_segments);
-        h = fold(h, st->ooo_segments);
-        h = fold(h, st->tx_descs);
-        h = fold(h, st->rx_descs);
-        h = fold(h, st->tx_done_descs);
-        h = fold(h, st->rx_ring_stalls);
-        h = fold(h, st->driver_backpressure);
+        h = sim::fnv1a64_u64(st->frames_tx, h);
+        h = sim::fnv1a64_u64(st->frames_rx, h);
+        h = sim::fnv1a64_u64(st->segments_sent, h);
+        h = sim::fnv1a64_u64(st->segments_received, h);
+        h = sim::fnv1a64_u64(st->retransmits, h);
+        h = sim::fnv1a64_u64(st->pure_acks_sent, h);
+        h = sim::fnv1a64_u64(st->dup_segments, h);
+        h = sim::fnv1a64_u64(st->ooo_segments, h);
+        h = sim::fnv1a64_u64(st->tx_descs, h);
+        h = sim::fnv1a64_u64(st->rx_descs, h);
+        h = sim::fnv1a64_u64(st->tx_done_descs, h);
+        h = sim::fnv1a64_u64(st->rx_ring_stalls, h);
+        h = sim::fnv1a64_u64(st->driver_backpressure, h);
     }
-    h = fold(h, r.opened);
-    h = fold(h, r.accepted);
-    h = fold(h, r.closed);
-    h = fold(h, r.resets);
-    h = fold(h, r.faults.total());
-    h = fold(h, r.ledger.tx);
-    h = fold(h, r.ledger.rx);
-    h = fold(h, uint64_t(r.end_time));
+    h = sim::fnv1a64_u64(r.opened, h);
+    h = sim::fnv1a64_u64(r.accepted, h);
+    h = sim::fnv1a64_u64(r.closed, h);
+    h = sim::fnv1a64_u64(r.resets, h);
+    h = sim::fnv1a64_u64(r.faults.total(), h);
+    h = sim::fnv1a64_u64(r.ledger.tx, h);
+    h = sim::fnv1a64_u64(r.ledger.rx, h);
+    h = sim::fnv1a64_u64(uint64_t(r.end_time), h);
     r.state_hash = h;
 
     r.ok = r.violations.empty() && r.trace_violations.empty();

@@ -14,6 +14,10 @@ namespace fld::apps {
 
 namespace {
 
+/** Generator send-phase bound; the budgeted packet count is the real
+ *  stop condition, this only caps pathological stalls. */
+constexpr sim::TimePs kRunDuration = sim::milliseconds(50);
+
 /** Id-derived message payload (shared idiom with the fault tests). */
 std::vector<uint8_t>
 payload_for(uint32_t id, size_t bytes)
@@ -196,7 +200,7 @@ FuzzRunDigest::to_string() const
 PktGenConfig
 FuzzRunner::gen_config(const sim::FuzzScenario& s) const
 {
-    PktGenConfig g = opt_.base_gen;
+    PktGenConfig g;
     g.imc_mix = s.workload.imc_mix;
     g.frame_size =
         std::clamp<size_t>(s.workload.bytes, 64, std::max(64u, s.mtu));
@@ -223,7 +227,7 @@ FuzzRunner::gen_config(const sim::FuzzScenario& s) const
 TestbedConfig
 FuzzRunner::tb_config(const sim::FuzzScenario& s) const
 {
-    TestbedConfig tb = opt_.base_tb;
+    TestbedConfig tb;
     tb.nic.cqe_compression = s.cqe_compression;
     tb.nic.cqe_coalesce_window = sim::nanoseconds(double(s.coalesce_ns));
     if (s.fetch_inflight)
@@ -275,7 +279,7 @@ FuzzRunner::run_eth(const sim::FuzzScenario& s, bool fld_path)
         if (s.shaper_gbps > 0)
             tb.client_nic->set_sq_rate(gen_driver.sqn(0),
                                        s.shaper_gbps);
-        gen.start(0, opt_.run_duration);
+        gen.start(0, kRunDuration);
         tb.eq.run();
 
         d.tx = gen.tx_count();
@@ -408,7 +412,6 @@ FuzzRunner::run_conn(const sim::FuzzScenario& s, bool fld_mode)
     cfg.sink.rx_ring_entries = 512;
     cfg.conn.rto =
         sim::microseconds(double(s.conn.rto_us ? s.conn.rto_us : 200));
-    cfg.tb = opt_.base_tb;
     cfg.tb.nic.wire_faults = s.faults.wire;
     cfg.tb.tlp.faults = s.faults.pcie;
     cfg.tb.accel_faults = s.faults.accel;
@@ -456,7 +459,6 @@ FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
     cfg.server.service.workers = std::max(1u, s.rpc.workers);
     cfg.conn.rto =
         sim::microseconds(double(s.conn.rto_us ? s.conn.rto_us : 200));
-    cfg.tb = opt_.base_tb;
     cfg.tb.nic.wire_faults = s.faults.wire;
     cfg.tb.tlp.faults = s.faults.pcie;
     cfg.tb.accel_faults = s.faults.accel;
@@ -480,16 +482,10 @@ FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
     // half of a request_id is the client port) so the existing
     // per-flow differential machinery diffs them FLD vs CPU.
     for (const auto& [id, digest] : r.digests) {
-        uint32_t port = uint32_t(id >> 32);
-        uint64_t& h = d.flow_digests[port];
+        uint64_t& h = d.flow_digests[uint32_t(id >> 32)];
         if (h == 0)
             h = sim::kFnvBasis;
-        uint8_t b[16];
-        for (int i = 0; i < 8; ++i) {
-            b[i] = uint8_t(id >> (8 * i));
-            b[8 + i] = uint8_t(digest >> (8 * i));
-        }
-        h = sim::fnv1a64(b, sizeof b, h);
+        h = sim::fnv1a64_u64(digest, sim::fnv1a64_u64(id, h));
     }
     d.faults = r.faults;
     d.ledger = r.ledger;
@@ -591,6 +587,7 @@ FuzzRunner::run(const sim::FuzzScenario& scenario)
     }
     v.transcript = os.str();
     v.transcript_hash = sim::fnv1a64_str(v.transcript);
+    v.summary = scenario.summary();
     return v;
 }
 

@@ -49,20 +49,16 @@
 
 namespace fld::apps {
 
+/**
+ * Runner knobs. Every scenario's knobs apply on top of the default
+ * TestbedConfig and PktGenConfig.
+ */
 struct FuzzRunOptions
 {
-    /** Base testbed configuration the scenario's knobs are applied on
-     *  top of (benches share their calibrated defaults through this). */
-    TestbedConfig base_tb;
-    /** Base generator configuration (addressing, ports). */
-    PktGenConfig base_gen;
     /** Record + check packet-lifecycle traces (oracle b). Uses the
      *  thread-local Tracer slot, so at most one FuzzRunner may have
      *  this enabled per thread at a time (one per sweep worker). */
     bool check_trace = true;
-    /** Generator send-phase bound; the budgeted packet count is the
-     *  real stop condition, this only caps pathological stalls. */
-    sim::TimePs run_duration = sim::milliseconds(50);
 };
 
 /** Everything observable from one materialized run. */
@@ -98,6 +94,8 @@ struct FuzzVerdict
      *  + verdict. Bit-identical across replays of the same seed. */
     std::string transcript;
     uint64_t transcript_hash = 0;
+    /** One-line description of what ran, for progress output. */
+    std::string summary;
 };
 
 class FuzzRunner

@@ -29,7 +29,7 @@ struct SweepState
 } // namespace
 
 SweepResult
-run_sweep(const SweepOptions& opt)
+run_sweep(const SweepOptions& opt, const FuzzDimension& dim)
 {
     SweepState st;
     const unsigned jobs = opt.jobs < 1 ? 1 : opt.jobs;
@@ -43,9 +43,8 @@ run_sweep(const SweepOptions& opt)
     };
 
     auto worker = [&] {
-        // Per-worker generator + runner: private testbeds, RNGs and
-        // (thread-local) tracer. Nothing here is shared.
-        sim::ScenarioFuzzer fuzzer;
+        // Per-worker runner: private testbeds, RNGs and (thread-local)
+        // tracer. Nothing here is shared.
         FuzzRunner runner(opt.run);
         for (;;) {
             uint64_t i =
@@ -62,9 +61,9 @@ run_sweep(const SweepOptions& opt)
                 return;
 
             uint64_t seed = opt.seed0 + i;
-            sim::FuzzScenario s = fuzzer.generate(seed);
+            sim::FuzzScenario s = dim.scenario(seed);
             FuzzVerdict v = opt.run_override ? opt.run_override(s)
-                                             : runner.run(s);
+                                             : dim.run(runner, s);
             st.ran.fetch_add(1, std::memory_order_relaxed);
 
             if (!v.ok) {

@@ -2,10 +2,11 @@
  * @file
  * Parallel seed-sweep executor for the scenario fuzzer.
  *
- * Shards a contiguous seed range across a worker thread pool. Each
- * worker owns a private ScenarioFuzzer + FuzzRunner (and thus its own
- * testbeds, RNGs and thread-local Tracer), so workers share nothing
- * but the seed counter and the merged result.
+ * Shards a contiguous seed range of one fuzz dimension (see
+ * apps/fuzz_dimension.h) across a worker thread pool. Each worker owns
+ * a private FuzzRunner (and thus its own testbeds, RNGs and
+ * thread-local Tracer), so workers share nothing but the seed counter
+ * and the merged result.
  *
  * Determinism contract: for a fixed seed range, the sweep's verdict is
  * identical for any --jobs value. Each seed's run is a pure function
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "apps/fuzz_dimension.h"
 #include "apps/fuzz_runner.h"
 #include "sim/fuzz.h"
 
@@ -49,8 +51,8 @@ struct SweepOptions
     std::function<void(uint64_t done, uint64_t seed,
                        const sim::FuzzScenario&, const FuzzVerdict&)>
         on_result;
-    /** Test seam: when set, used instead of FuzzRunner::run so merge
-     *  logic can be exercised with synthetic failures. Must be
+    /** Test seam: when set, used instead of the dimension's run so
+     *  merge logic can be exercised with synthetic failures. Must be
      *  thread-safe and a pure function of the scenario. */
     std::function<FuzzVerdict(const sim::FuzzScenario&)> run_override;
 };
@@ -68,8 +70,9 @@ struct SweepResult
     FuzzVerdict failing_verdict;
 };
 
-/** Run the sweep. Blocks until all workers have joined. */
-SweepResult run_sweep(const SweepOptions& opt);
+/** Sweep @p dim's seeds. Blocks until all workers have joined. */
+SweepResult run_sweep(const SweepOptions& opt,
+                      const FuzzDimension& dim = fuzz_dimensions()[0]);
 
 } // namespace fld::apps
 

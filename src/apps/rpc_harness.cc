@@ -15,12 +15,6 @@ constexpr uint32_t kServerIp = net::ipv4_addr(10, 0, 0, 1);
 constexpr uint32_t kClientIp = net::ipv4_addr(10, 0, 0, 2);
 
 uint64_t
-fold(uint64_t h, uint64_t v)
-{
-    return sim::fnv1a64_u64(v, h);
-}
-
-uint64_t
 nic_drops(const nic::NicStats& st)
 {
     return st.drops_no_buffer + st.drops_rule + st.drops_meter +
@@ -304,43 +298,43 @@ run_rpc_scenario(const RpcHarnessConfig& cfg)
     // Digest hash: the per-request response digests, in id order.
     uint64_t h = sim::kFnvBasis;
     for (const auto& [id, digest] : r.digests) {
-        h = fold(h, id);
-        h = fold(h, digest);
+        h = sim::fnv1a64_u64(id, h);
+        h = sim::fnv1a64_u64(digest, h);
     }
     r.digest_hash = h;
 
     // State hash: every observable counter and the exact latency
     // sequence folded in — same-config reruns match bit-for-bit.
-    h = fold(h, pool.latency_fold());
+    h = sim::fnv1a64_u64(pool.latency_fold(), h);
     for (const driver::FastPathStats* st :
          {&r.client_stats, &r.server_stats}) {
-        h = fold(h, st->frames_tx);
-        h = fold(h, st->frames_rx);
-        h = fold(h, st->segments_sent);
-        h = fold(h, st->segments_received);
-        h = fold(h, st->retransmits);
-        h = fold(h, st->pure_acks_sent);
-        h = fold(h, st->tx_descs);
-        h = fold(h, st->rx_descs);
-        h = fold(h, st->tx_done_descs);
-        h = fold(h, st->tagged_tx_done_descs);
-        h = fold(h, st->rx_ring_stalls);
-        h = fold(h, st->driver_backpressure);
+        h = sim::fnv1a64_u64(st->frames_tx, h);
+        h = sim::fnv1a64_u64(st->frames_rx, h);
+        h = sim::fnv1a64_u64(st->segments_sent, h);
+        h = sim::fnv1a64_u64(st->segments_received, h);
+        h = sim::fnv1a64_u64(st->retransmits, h);
+        h = sim::fnv1a64_u64(st->pure_acks_sent, h);
+        h = sim::fnv1a64_u64(st->tx_descs, h);
+        h = sim::fnv1a64_u64(st->rx_descs, h);
+        h = sim::fnv1a64_u64(st->tx_done_descs, h);
+        h = sim::fnv1a64_u64(st->tagged_tx_done_descs, h);
+        h = sim::fnv1a64_u64(st->rx_ring_stalls, h);
+        h = sim::fnv1a64_u64(st->driver_backpressure, h);
     }
-    h = fold(h, r.client_app.opened);
-    h = fold(h, r.client_app.closed);
-    h = fold(h, r.client_app.aborted);
-    h = fold(h, r.client_app.requests_sent);
-    h = fold(h, r.client_app.responses);
-    h = fold(h, r.server_app.requests);
-    h = fold(h, r.server_app.responses);
-    h = fold(h, r.server_app.responses_acked);
-    h = fold(h, r.dispatch.dispatched);
-    h = fold(h, uint64_t(r.dispatch.busy_time));
-    h = fold(h, r.faults.total());
-    h = fold(h, r.ledger.tx);
-    h = fold(h, r.ledger.rx);
-    h = fold(h, uint64_t(r.end_time));
+    h = sim::fnv1a64_u64(r.client_app.opened, h);
+    h = sim::fnv1a64_u64(r.client_app.closed, h);
+    h = sim::fnv1a64_u64(r.client_app.aborted, h);
+    h = sim::fnv1a64_u64(r.client_app.requests_sent, h);
+    h = sim::fnv1a64_u64(r.client_app.responses, h);
+    h = sim::fnv1a64_u64(r.server_app.requests, h);
+    h = sim::fnv1a64_u64(r.server_app.responses, h);
+    h = sim::fnv1a64_u64(r.server_app.responses_acked, h);
+    h = sim::fnv1a64_u64(r.dispatch.dispatched, h);
+    h = sim::fnv1a64_u64(uint64_t(r.dispatch.busy_time), h);
+    h = sim::fnv1a64_u64(r.faults.total(), h);
+    h = sim::fnv1a64_u64(r.ledger.tx, h);
+    h = sim::fnv1a64_u64(r.ledger.rx, h);
+    h = sim::fnv1a64_u64(uint64_t(r.end_time), h);
     r.state_hash = h;
 
     r.ok = r.violations.empty() && r.trace_violations.empty();

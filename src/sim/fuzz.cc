@@ -386,16 +386,218 @@ ScenarioFuzzer::generate(uint64_t seed) const
 
 namespace {
 
-/** Candidate mutation: returns false when it would be a no-op. */
-using Mutation = std::function<bool(FuzzScenario&)>;
+const FuzzScenario kDefaults;
 
-void
-clear_wire_faults(FuzzScenario& s)
+/** Sets @p field to @p value; false when it already holds it. */
+template <typename T, typename U>
+bool
+reset(T& field, U value)
 {
-    s.faults.wire = {};
+    if (field == T(value))
+        return false;
+    field = T(value);
+    return true;
+}
+
+bool
+packets_at_most(FuzzScenario& s, uint32_t n)
+{
+    return s.workload.packets > 1 &&
+           reset(s.workload.packets, std::clamp(n, 1u, s.workload.packets));
+}
+
+template <typename Faults>
+bool
+clear(Faults& f)
+{
+    if (!f.enabled())
+        return false;
+    f = {};
+    return true;
+}
+
+// Pass groups. Each pass proposes one simplification and returns false
+// when it would be a no-op.
+
+// Packet-count reduction dominates replay cost, so it goes first:
+// 1, 2, 4, then halvings, then single steps.
+constexpr ShrinkPass kPackets[] = {
+    [](FuzzScenario& s) { return packets_at_most(s, 1); },
+    [](FuzzScenario& s) { return packets_at_most(s, 2); },
+    [](FuzzScenario& s) { return packets_at_most(s, 4); },
+    [](FuzzScenario& s) { return packets_at_most(s, s.workload.packets / 2); },
+    [](FuzzScenario& s) { return packets_at_most(s, s.workload.packets - 1); },
+};
+// Single-window closed loop, minimal fixed-size frames.
+constexpr ShrinkPass kMessageShape[] = {
+    [](FuzzScenario& s) -> bool {
+        return reset(s.workload.window, 1) |
+               reset(s.workload.offered_gbps, 0.0);
+    },
+    [](FuzzScenario& s) -> bool {
+        return reset(s.workload.imc_mix, false) |
+               reset(s.workload.bytes, 64);
+    },
+};
+constexpr ShrinkPass kFrameShape[] = {
+    [](FuzzScenario& s) { return reset(s.workload.flows, 1); },
+    // Open loop at line rate: not smaller, but simpler — back-to-back
+    // frames tighten timing races, which usually lets the packet
+    // count shrink further.
+    [](FuzzScenario& s) {
+        return s.workload.window == 0 &&
+               reset(s.workload.offered_gbps, 25.0);
+    },
+    // When minimal frames lose the failure, fixed full-MTU frames
+    // still drop the size mixture while keeping multi-stride MPRQ and
+    // segmentation reachable. Only ever replaces the mixture, so it
+    // cannot undo the minimal-frame pass.
+    [](FuzzScenario& s) -> bool {
+        return s.workload.imc_mix &&
+               (reset(s.workload.imc_mix, false) |
+                reset(s.workload.bytes, s.mtu));
+    },
+};
+// Fault classes one at a time, most disruptive first, then single
+// wire knobs (when the whole class must stay).
+constexpr ShrinkPass kFaults[] = {
+    [](FuzzScenario& s) { return clear(s.faults.wire); },
+    [](FuzzScenario& s) { return clear(s.faults.pcie); },
+    [](FuzzScenario& s) { return clear(s.faults.accel); },
+    [](FuzzScenario& s) { return reset(s.faults.wire.drop_prob, 0); },
+    [](FuzzScenario& s) { return reset(s.faults.wire.corrupt_prob, 0); },
+    [](FuzzScenario& s) { return reset(s.faults.wire.duplicate_prob, 0); },
+    [](FuzzScenario& s) { return reset(s.faults.wire.reorder_prob, 0); },
+};
+// Testbed knobs every echo run reads, back to defaults.
+constexpr ShrinkPass kNicKnobs[] = {
+    [](FuzzScenario& s) -> bool {
+        return reset(s.cqe_compression, kDefaults.cqe_compression) |
+               reset(s.coalesce_ns, kDefaults.coalesce_ns);
+    },
+    [](FuzzScenario& s) {
+        return reset(s.fetch_inflight, kDefaults.fetch_inflight);
+    },
+};
+// Ethernet echo geometry and offloads, back to defaults.
+constexpr ShrinkPass kEchoKnobs[] = {
+    [](FuzzScenario& s) -> bool {
+        return s.vxlan && (reset(s.vxlan, false) | reset(s.vni, 0));
+    },
+    [](FuzzScenario& s) { return reset(s.shaper_gbps, 0); },
+    [](FuzzScenario& s) -> bool {
+        return reset(s.rx_buffers, 0) | reset(s.rx_strides, 0) |
+               reset(s.rx_stride_shift, 0);
+    },
+    [](FuzzScenario& s) { return reset(s.echo_queues, 1); },
+    [](FuzzScenario& s) {
+        bool changed = reset(s.mtu, kDefaults.mtu);
+        s.workload.bytes = std::min(s.workload.bytes, s.mtu);
+        return changed;
+    },
+    [](FuzzScenario& s) -> bool {
+        return reset(s.signal_interval, kDefaults.signal_interval) |
+               reset(s.wqe_by_mmio, kDefaults.wqe_by_mmio);
+    },
+};
+// Pipeline program: drop the whole decoration chain first (the
+// failure may not need it at all), then peel its features.
+constexpr ShrinkPass kPipeline[] = {
+    [](FuzzScenario& s) { return reset(s.pipeline.enabled, false); },
+    [](FuzzScenario& s) {
+        return s.pipeline.enabled && reset(s.pipeline.use_nat, false);
+    },
+    [](FuzzScenario& s) {
+        return s.pipeline.enabled && reset(s.pipeline.use_vip, false);
+    },
+    [](FuzzScenario& s) {
+        return s.pipeline.enabled && reset(s.pipeline.use_acl, false);
+    },
+    [](FuzzScenario& s) {
+        return s.pipeline.enabled && reset(s.pipeline.tables, 1);
+    },
+    [](FuzzScenario& s) {
+        return s.pipeline.enabled && reset(s.pipeline.entries, 1);
+    },
+};
+// Connection workload (halvings reach a fixpoint by repetition).
+constexpr ShrinkPass kConn[] = {
+    [](FuzzScenario& s) {
+        return s.conn.connections > 1 &&
+               reset(s.conn.connections, s.conn.connections / 2);
+    },
+    [](FuzzScenario& s) { return reset(s.conn.requests, 1); },
+    [](FuzzScenario& s) { return reset(s.conn.request_bytes, 64); },
+    [](FuzzScenario& s) { return reset(s.conn.churn_cycles, 0); },
+    [](FuzzScenario& s) { return reset(s.conn.closed_loop, true); },
+};
+// RPC workload: minimal payloads first, then echo-only methods (the
+// accel-backed handlers are the likeliest suspects).
+constexpr ShrinkPass kRpc[] = {
+    [](FuzzScenario& s) {
+        return s.rpc.connections > 1 &&
+               reset(s.rpc.connections, s.rpc.connections / 2);
+    },
+    [](FuzzScenario& s) { return reset(s.rpc.requests, 1); },
+    [](FuzzScenario& s) -> bool {
+        return reset(s.rpc.payload_min, 16) | reset(s.rpc.payload_max, 16);
+    },
+    [](FuzzScenario& s) { return reset(s.rpc.methods_mask, 0x1); },
+    [](FuzzScenario& s) { return reset(s.rpc.chunk_bytes, 0); },
+    [](FuzzScenario& s) { return reset(s.rpc.think_us, 0); },
+    [](FuzzScenario& s) { return reset(s.rpc.workers, 1); },
+};
+// Wire faults on every flow instead of one (both TCP-side runners).
+constexpr ShrinkPass kTargeting[] = {
+    [](FuzzScenario& s) { return reset(s.conn.fault_target_port, 0); },
+};
+
+std::vector<ShrinkPass>
+join(std::initializer_list<std::span<const ShrinkPass>> groups)
+{
+    std::vector<ShrinkPass> v;
+    for (std::span<const ShrinkPass> g : groups)
+        v.insert(v.end(), g.begin(), g.end());
+    return v;
 }
 
 } // namespace
+
+std::span<const ShrinkPass>
+shrink_passes(const FuzzScenario& s)
+{
+    // Each mode's runner (apps/fuzz_runner.cc) reads exactly these
+    // groups' fields, so no run is spent on a mutation it cannot see.
+    static const std::vector<ShrinkPass> eth =
+        join({kPackets, kMessageShape, kFrameShape, kFaults, kNicKnobs,
+              kEchoKnobs, kPipeline});
+    static const std::vector<ShrinkPass> rdma =
+        join({kPackets, kMessageShape, kFaults, kNicKnobs});
+    static const std::vector<ShrinkPass> conn =
+        join({kConn, kTargeting, kFaults});
+    static const std::vector<ShrinkPass> rpc =
+        join({kRpc, kTargeting, kFaults});
+    switch (s.workload.mode) {
+    case FuzzMode::EthEcho:
+        return eth;
+    case FuzzMode::RdmaEcho:
+        return rdma;
+    case FuzzMode::ConnServe:
+        return conn;
+    case FuzzMode::RpcServe:
+        return rpc;
+    }
+    return {};
+}
+
+std::span<const ShrinkPass>
+all_shrink_passes()
+{
+    static const std::vector<ShrinkPass> all =
+        join({kPackets, kMessageShape, kFrameShape, kFaults, kNicKnobs,
+              kEchoKnobs, kPipeline, kConn, kRpc, kTargeting});
+    return all;
+}
 
 ShrinkResult
 ScenarioShrinker::shrink(const FuzzScenario& failing)
@@ -403,11 +605,11 @@ ScenarioShrinker::shrink(const FuzzScenario& failing)
     ShrinkResult res;
     res.scenario = failing;
 
-    auto try_mutation = [&](const Mutation& mut) -> bool {
+    auto try_pass = [&](ShrinkPass pass) -> bool {
         if (res.predicate_runs >= max_runs_)
             return false;
         FuzzScenario candidate = res.scenario;
-        if (!mut(candidate))
+        if (!pass(candidate))
             return false; // no-op, don't burn budget
         ++res.predicate_runs;
         if (!still_fails_(candidate))
@@ -417,333 +619,14 @@ ScenarioShrinker::shrink(const FuzzScenario& failing)
         return true;
     };
 
-    const FuzzScenario defaults;
-
-    // Packet-count reduction dominates replay cost, so run it to a
-    // fixpoint first: try 1, 2, 4, then successive halvings.
-    auto shrink_packets = [&] {
-        bool any = false;
-        for (uint32_t target : {1u, 2u, 4u}) {
-            if (res.scenario.workload.packets > target &&
-                try_mutation([&](FuzzScenario& s) {
-                    s.workload.packets = target;
-                    return true;
-                })) {
-                any = true;
-                break;
-            }
-        }
-        while (res.scenario.workload.packets > 1 &&
-               try_mutation([&](FuzzScenario& s) {
-                   s.workload.packets = std::max(1u, s.workload.packets / 2);
-                   return true;
-               }))
-            any = true;
-        while (res.scenario.workload.packets > 1 &&
-               try_mutation([&](FuzzScenario& s) {
-                   s.workload.packets -= 1;
-                   return true;
-               }))
-            any = true;
-        return any;
-    };
-
-    std::vector<Mutation> passes = {
-        // Fewer flows, simplest loop shape.
-        [](FuzzScenario& s) {
-            if (s.workload.flows == 1)
-                return false;
-            s.workload.flows = 1;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.window == 1 && s.workload.offered_gbps == 0)
-                return false;
-            s.workload.window = 1;
-            s.workload.offered_gbps = 0.0;
-            return true;
-        },
-        // Canonicalize the open-loop rate to line rate. Not smaller,
-        // but simpler — and back-to-back frames tighten timing races,
-        // which usually lets the packet count shrink further.
-        [](FuzzScenario& s) {
-            if (s.workload.window != 0 ||
-                s.workload.offered_gbps == 25.0)
-                return false;
-            s.workload.offered_gbps = 25.0;
-            return true;
-        },
-        // Fixed full-MTU frames: drops the size mixture while keeping
-        // multi-stride MPRQ and segmentation behavior reachable.
-        [](FuzzScenario& s) {
-            if (!s.workload.imc_mix && s.workload.bytes == s.mtu)
-                return false;
-            s.workload.imc_mix = false;
-            s.workload.bytes = s.mtu;
-            return true;
-        },
-        // Minimal frame: fixed 64B, no size mixture.
-        [](FuzzScenario& s) {
-            if (!s.workload.imc_mix &&
-                s.workload.bytes == 64)
-                return false;
-            s.workload.imc_mix = false;
-            s.workload.bytes = 64;
-            return true;
-        },
-        // Remove fault classes one at a time, most disruptive first.
-        [](FuzzScenario& s) {
-            if (!s.faults.wire.enabled())
-                return false;
-            clear_wire_faults(s);
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.faults.pcie.enabled())
-                return false;
-            s.faults.pcie = {};
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.faults.accel.enabled())
-                return false;
-            s.faults.accel = {};
-            return true;
-        },
-        // Individual wire fault knobs (when the whole class must stay).
-        [](FuzzScenario& s) {
-            if (s.faults.wire.drop_prob == 0)
-                return false;
-            s.faults.wire.drop_prob = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.faults.wire.corrupt_prob == 0)
-                return false;
-            s.faults.wire.corrupt_prob = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.faults.wire.duplicate_prob == 0)
-                return false;
-            s.faults.wire.duplicate_prob = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.faults.wire.reorder_prob == 0)
-                return false;
-            s.faults.wire.reorder_prob = 0;
-            return true;
-        },
-        // Knobs back to defaults, one group at a time.
-        [&defaults](FuzzScenario& s) {
-            if (!s.vxlan)
-                return false;
-            s.vxlan = defaults.vxlan;
-            s.vni = defaults.vni;
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (s.shaper_gbps == 0)
-                return false;
-            s.shaper_gbps = defaults.shaper_gbps;
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (!s.cqe_compression && s.coalesce_ns == defaults.coalesce_ns)
-                return false;
-            s.cqe_compression = defaults.cqe_compression;
-            s.coalesce_ns = defaults.coalesce_ns;
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (s.rx_buffers == 0 && s.rx_strides == 0 &&
-                s.rx_stride_shift == 0)
-                return false;
-            s.rx_buffers = defaults.rx_buffers;
-            s.rx_strides = defaults.rx_strides;
-            s.rx_stride_shift = defaults.rx_stride_shift;
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (s.echo_queues == 1)
-                return false;
-            s.echo_queues = defaults.echo_queues;
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (s.mtu == defaults.mtu)
-                return false;
-            s.mtu = defaults.mtu;
-            s.workload.bytes = std::min(s.workload.bytes, s.mtu);
-            return true;
-        },
-        [&defaults](FuzzScenario& s) {
-            if (s.signal_interval == defaults.signal_interval &&
-                s.wqe_by_mmio == defaults.wqe_by_mmio &&
-                s.fetch_inflight == defaults.fetch_inflight)
-                return false;
-            s.signal_interval = defaults.signal_interval;
-            s.wqe_by_mmio = defaults.wqe_by_mmio;
-            s.fetch_inflight = defaults.fetch_inflight;
-            return true;
-        },
-        // Connection-workload reductions (ConnServe scenarios only;
-        // halvings reach a fixpoint through the outer loop).
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.connections <= 1)
-                return false;
-            s.conn.connections = std::max(1u, s.conn.connections / 2);
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.requests <= 1)
-                return false;
-            s.conn.requests = 1;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.request_bytes == 64)
-                return false;
-            s.conn.request_bytes = 64;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.churn_cycles == 0)
-                return false;
-            s.conn.churn_cycles = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.closed_loop)
-                return false;
-            s.conn.closed_loop = true;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::ConnServe ||
-                s.conn.fault_target_port == 0)
-                return false;
-            s.conn.fault_target_port = 0;
-            return true;
-        },
-        // RPC-workload reductions (RpcServe scenarios only).
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.connections <= 1)
-                return false;
-            s.rpc.connections = std::max(1u, s.rpc.connections / 2);
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.requests <= 1)
-                return false;
-            s.rpc.requests = 1;
-            return true;
-        },
-        // Fixed minimal payloads first, then echo-only methods: the
-        // accel-backed handlers (zuc/defrag/busy) are the most likely
-        // suspects, so peel them off one step at a time.
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                (s.rpc.payload_min == 16 && s.rpc.payload_max == 16))
-                return false;
-            s.rpc.payload_min = 16;
-            s.rpc.payload_max = 16;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.methods_mask == 0x1)
-                return false;
-            s.rpc.methods_mask = 0x1; // echo only
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.chunk_bytes == 0)
-                return false;
-            s.rpc.chunk_bytes = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.think_us == 0)
-                return false;
-            s.rpc.think_us = 0;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.rpc.workers <= 1)
-                return false;
-            s.rpc.workers = 1;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (s.workload.mode != FuzzMode::RpcServe ||
-                s.conn.fault_target_port == 0)
-                return false;
-            s.conn.fault_target_port = 0;
-            return true;
-        },
-        // Pipeline-program reductions: drop the whole dimension first
-        // (the failure may not need the compiled engine at all), then
-        // peel decoration features and shorten the chain.
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled)
-                return false;
-            s.pipeline.enabled = false;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled || !s.pipeline.use_nat)
-                return false;
-            s.pipeline.use_nat = false;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled || !s.pipeline.use_vip)
-                return false;
-            s.pipeline.use_vip = false;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled || !s.pipeline.use_acl)
-                return false;
-            s.pipeline.use_acl = false;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled || s.pipeline.tables <= 1)
-                return false;
-            s.pipeline.tables = 1;
-            return true;
-        },
-        [](FuzzScenario& s) {
-            if (!s.pipeline.enabled || s.pipeline.entries <= 1)
-                return false;
-            s.pipeline.entries = 1;
-            return true;
-        },
-    };
-
-    // Run all passes to a global fixpoint (a later pass succeeding can
-    // re-enable an earlier one, e.g. dropping faults lets the packet
-    // count shrink further).
+    // Repeat each pass while it is accepted, and the whole list until a
+    // global fixpoint (a later pass succeeding can re-enable an earlier
+    // one, e.g. dropping faults lets the packet count shrink further).
     bool progress = true;
     while (progress && res.predicate_runs < max_runs_) {
         progress = false;
-        if (shrink_packets())
-            progress = true;
-        for (const auto& pass : passes)
-            if (try_mutation(pass))
+        for (ShrinkPass pass : passes_)
+            while (try_pass(pass))
                 progress = true;
     }
     return res;

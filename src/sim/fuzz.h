@@ -17,19 +17,22 @@
  *  - ScenarioFuzzer: a pure function from a 64-bit seed to a
  *    FuzzScenario, so a failure report is just one number.
  *  - ScenarioShrinker: greedy minimization of a failing scenario
- *    against a caller-supplied "does it still fail?" predicate —
+ *    against a caller-supplied "does it still fail?" predicate and
+ *    pass list (shrink_passes gives those of the scenario's mode) —
  *    fewer packets, fewer flows, fault classes removed one at a time,
  *    knobs reset to defaults.
  *
  * The testbed-facing half (materializing a FuzzScenario into Testbed
  * configs and judging the oracles) lives in apps/fuzz_runner.h; the
- * CLI in tools/fld_fuzz.cc ties the two together.
+ * dimension table in apps/fuzz_dimension.h ties the two together for
+ * the CLI in tools/fld_fuzz.cc.
  */
 #ifndef FLD_SIM_FUZZ_H
 #define FLD_SIM_FUZZ_H
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "sim/fault.h"
@@ -198,6 +201,22 @@ class ScenarioFuzzer
  */
 using ScenarioPredicate = std::function<bool(const FuzzScenario&)>;
 
+/** One shrink step: simplifies @p s in place; false when that would
+ *  be a no-op (no predicate run is spent on it). */
+using ShrinkPass = bool (*)(FuzzScenario& s);
+
+/**
+ * Shrink passes for @p s's mode. Each touches only fields that mode's
+ * runner reads: smaller packet counts first, then fewer flows,
+ * single-window, minimal sizes, individual fault classes removed,
+ * knobs reset to defaults, and the conn/rpc/pipeline reductions.
+ */
+std::span<const ShrinkPass> shrink_passes(const FuzzScenario& s);
+
+/** Every mode's passes, each once: for a shrink with no runner in
+ *  view (e.g. a synthetic predicate). */
+std::span<const ShrinkPass> all_shrink_passes();
+
 struct ShrinkResult
 {
     FuzzScenario scenario; ///< the minimized failing scenario
@@ -206,18 +225,22 @@ struct ShrinkResult
 };
 
 /**
- * Greedy shrinking: repeatedly propose simplifications (smaller
- * packet counts first, then fewer flows, single-window, minimal
- * sizes, individual fault classes removed, knobs reset to defaults)
- * and keep each one iff the predicate still fails, until a fixpoint
- * or the run budget is exhausted.
+ * Greedy shrinking: apply each pass while the predicate still fails,
+ * and the pass list again until a fixpoint or the run budget is
+ * exhausted.
  */
 class ScenarioShrinker
 {
   public:
     explicit ScenarioShrinker(ScenarioPredicate still_fails,
                               uint32_t max_predicate_runs = 300)
-        : still_fails_(std::move(still_fails)),
+        : ScenarioShrinker(std::move(still_fails), all_shrink_passes(),
+                           max_predicate_runs)
+    {}
+    ScenarioShrinker(ScenarioPredicate still_fails,
+                     std::span<const ShrinkPass> passes,
+                     uint32_t max_predicate_runs = 300)
+        : still_fails_(std::move(still_fails)), passes_(passes),
           max_runs_(max_predicate_runs)
     {}
 
@@ -225,6 +248,7 @@ class ScenarioShrinker
 
   private:
     ScenarioPredicate still_fails_;
+    std::span<const ShrinkPass> passes_;
     uint32_t max_runs_;
 };
 

@@ -7,22 +7,18 @@
  */
 #include <gtest/gtest.h>
 
+#include "apps/fuzz_dimension.h"
 #include "apps/fuzz_runner.h"
-#include "bench/bench_util.h"
 #include "sim/fuzz.h"
 
 namespace fld::apps {
 namespace {
 
-/** The exact runner configuration tools/fld_fuzz.cc uses. */
+/** The runner configuration tools/fld_fuzz.cc uses. */
 FuzzRunner
-make_runner(bool trace = true)
+make_runner()
 {
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    ropt.check_trace = trace;
-    return FuzzRunner(ropt);
+    return FuzzRunner(FuzzRunOptions{});
 }
 
 TEST(FuzzReplay, SameSeedYieldsByteIdenticalTranscript)
@@ -123,14 +119,13 @@ TEST(FuzzRegression, CompressedCqeCorrelationStaysFixed)
 
 TEST(FuzzReplay, ConnSeedMatrixRunsClean)
 {
-    // Mirror of fld_fuzz --conn: force the connection workload onto a
-    // handful of fixed seeds (every seed carries conn draws) covering
-    // closed/open loop, churn and the faulty / fault-free halves.
-    sim::ScenarioFuzzer fuzzer;
+    // fld_fuzz --conn's row on a handful of fixed seeds (every seed
+    // carries conn draws) covering closed/open loop, churn and the
+    // faulty / fault-free halves.
+    const FuzzDimension& conn = *find_fuzz_dimension("conn");
     FuzzRunner runner = make_runner();
     for (uint64_t seed : {1ull, 4ull, 9ull, 16ull}) {
-        sim::FuzzScenario s = fuzzer.generate(seed);
-        s.workload.mode = sim::FuzzMode::ConnServe;
+        sim::FuzzScenario s = conn.scenario(seed);
         s.conn.connections = std::min(s.conn.connections, 16u);
         FuzzVerdict v = runner.run(s);
         EXPECT_TRUE(v.ok) << "seed " << seed << "\n" << v.transcript;
@@ -190,16 +185,14 @@ TEST(FuzzRegression, ConnOpenLoopChurnDifferentialStaysFixed)
 
 TEST(FuzzReplay, PipelineSeedMatrixRunsClean)
 {
-    // Mirror of fld_fuzz --pipeline: force the compiled-pipeline
-    // dimension onto a handful of fixed seeds (every seed carries
-    // pipeline draws at the generator tail) so random decoration
-    // programs run through all four oracle families as cheap canaries.
-    sim::ScenarioFuzzer fuzzer;
+    // fld_fuzz --pipeline's row on a handful of fixed seeds (every
+    // seed carries pipeline draws at the generator tail) so random
+    // decoration programs run through all four oracle families as
+    // cheap canaries.
+    const FuzzDimension& pipeline = *find_fuzz_dimension("pipeline");
     FuzzRunner runner = make_runner();
     for (uint64_t seed : {1ull, 4ull, 9ull, 16ull}) {
-        sim::FuzzScenario s = fuzzer.generate(seed);
-        s.workload.mode = sim::FuzzMode::EthEcho;
-        s.pipeline.enabled = true;
+        sim::FuzzScenario s = pipeline.scenario(seed);
         s.workload.packets = std::min(s.workload.packets, 24u);
         FuzzVerdict v = runner.run(s);
         EXPECT_TRUE(v.ok) << "seed " << seed << "\n" << v.transcript;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Parallel sweep determinism: a seed range swept with --jobs=8 must
- * produce exactly the per-seed verdicts and transcripts of --jobs=1,
+ * Parallel sweep determinism: a seed range of any fuzz dimension swept
+ * with --jobs=8 must produce exactly the per-seed verdicts and
+ * transcripts of --jobs=1,
  * and the lowest-failing-seed merge must match what a serial sweep
  * stops at — including when the failure is found out of order.
  */
@@ -13,39 +14,28 @@
 #include <thread>
 
 #include "apps/fuzz_sweep.h"
-#include "bench/bench_util.h"
 
 namespace fld::apps {
 namespace {
 
-/** The exact runner configuration tools/fld_fuzz.cc uses. */
-FuzzRunOptions
-runner_options(bool trace = true)
-{
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    ropt.check_trace = trace;
-    return ropt;
-}
-
-/** Sweep [seed0, seed0+n) collecting per-seed transcript hashes. */
+/** Sweep [seed0, seed0+n) of the @p dim row collecting per-seed
+ *  transcript hashes. */
 std::map<uint64_t, uint64_t>
-sweep_hashes(unsigned jobs, uint64_t seed0, uint64_t n)
+sweep_hashes(unsigned jobs, uint64_t seed0, uint64_t n,
+             const char* dim = "seeds")
 {
     std::map<uint64_t, uint64_t> hashes;
     SweepOptions opt;
     opt.seed0 = seed0;
     opt.seeds = n;
     opt.jobs = jobs;
-    opt.run = runner_options();
     opt.on_result = [&](uint64_t, uint64_t seed,
                         const sim::FuzzScenario&,
                         const FuzzVerdict& v) {
         hashes[seed] = v.transcript_hash;
         EXPECT_TRUE(v.ok) << "seed " << seed << ":\n" << v.transcript;
     };
-    SweepResult r = run_sweep(opt);
+    SweepResult r = run_sweep(opt, *find_fuzz_dimension(dim));
     EXPECT_FALSE(r.found_failure);
     EXPECT_EQ(r.ran, n);
     return hashes;
@@ -53,12 +43,18 @@ sweep_hashes(unsigned jobs, uint64_t seed0, uint64_t n)
 
 TEST(ParallelSweep, Jobs8MatchesJobs1PerSeedTranscripts)
 {
-    auto serial = sweep_hashes(/*jobs=*/1, /*seed0=*/1, /*n=*/12);
-    auto parallel = sweep_hashes(/*jobs=*/8, /*seed0=*/1, /*n=*/12);
-    ASSERT_EQ(serial.size(), 12u);
-    EXPECT_EQ(serial, parallel);
-    for (const auto& [seed, hash] : serial)
-        EXPECT_NE(hash, 0u) << "seed " << seed;
+    // The natural mix plus two forced rows: forcing happens per seed
+    // inside the sweep, so it must be --jobs-invariant too.
+    for (const char* dim : {"seeds", "conn", "pipeline"}) {
+        SCOPED_TRACE(dim);
+        auto serial = sweep_hashes(/*jobs=*/1, /*seed0=*/1, /*n=*/12, dim);
+        auto parallel =
+            sweep_hashes(/*jobs=*/8, /*seed0=*/1, /*n=*/12, dim);
+        ASSERT_EQ(serial.size(), 12u);
+        EXPECT_EQ(serial, parallel);
+        for (const auto& [seed, hash] : serial)
+            EXPECT_NE(hash, 0u) << "seed " << seed;
+    }
 }
 
 TEST(ParallelSweep, RepeatedParallelSweepsAreBitIdentical)

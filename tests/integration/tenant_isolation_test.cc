@@ -20,7 +20,6 @@
 
 #include "apps/churn_harness.h"
 #include "apps/fuzz_runner.h"
-#include "bench/bench_util.h"
 #include "sim/fuzz.h"
 
 namespace fld::apps {
@@ -103,10 +102,7 @@ TEST(TenantIsolation, DatapathOraclesStayGreenWithFlowsAndFaults)
     // fault plan drops/duplicates frames, and the four FuzzRunner
     // oracles (differential, trace invariants, exactly-once,
     // conservation ledger) must all hold.
-    FuzzRunOptions ropt;
-    ropt.base_gen = bench::closed_loop_gen(/*frame=*/64, /*window=*/8);
-    ropt.base_tb = TestbedConfig{};
-    FuzzRunner runner(ropt);
+    FuzzRunner runner(FuzzRunOptions{});
 
     sim::FuzzScenario s;
     s.seed = 424242;

@@ -42,8 +42,8 @@ TEST(ScenarioFuzzerTest, GeneratedScenariosStayInEnvelope)
             // The IMC mixture draws sizes itself and needs a full MTU.
             EXPECT_EQ(s.workload.bytes, 0u);
             EXPECT_EQ(s.mtu, 1500u);
-        } else if (s.workload.mode != FuzzMode::ConnServe &&
-                   s.workload.mode != FuzzMode::RpcServe) {
+        } else if (s.workload.mode == FuzzMode::EthEcho ||
+                   s.workload.mode == FuzzMode::RdmaEcho) {
             // Conn-serve and rpc-serve flip imc_mix off without
             // re-drawing bytes — the eth size knobs are inert there
             // (ConnWorkload / RpcWorkload drive those harnesses) — so
@@ -192,6 +192,83 @@ TEST(ScenarioShrinkerTest, KeepsTheFailureFailing)
     ASSERT_TRUE(pred(failing));
     ShrinkResult res = ScenarioShrinker(pred).shrink(failing);
     EXPECT_TRUE(pred(res.scenario));
+}
+
+TEST(ScenarioShrinkerTest, SizeIndependentFailureReachesAFixpoint)
+{
+    // The failure needs three packets and nothing else, frame size
+    // included: every natural echo seed must settle well inside the
+    // budget instead of flipping between full-MTU and minimal frames.
+    ScenarioFuzzer fuzzer;
+    auto pred = [](const FuzzScenario& s) {
+        return s.workload.packets >= 3;
+    };
+    int echo_seeds = 0;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+        FuzzScenario failing = fuzzer.generate(seed);
+        bool echo = failing.workload.mode == FuzzMode::EthEcho;
+        if (!echo || !pred(failing))
+            continue;
+        ++echo_seeds;
+        ShrinkResult res = ScenarioShrinker(pred).shrink(failing);
+        EXPECT_LT(res.predicate_runs, 300u) << "seed " << seed;
+        EXPECT_EQ(res.scenario.workload.packets, 3u) << "seed " << seed;
+        EXPECT_EQ(res.scenario.workload.bytes, 64u) << "seed " << seed;
+    }
+    EXPECT_GT(echo_seeds, 50);
+}
+
+/** @p candidate with the fields @p mode's runner reads copied back
+ *  from @p original: equal to @p original iff the shrinker left every
+ *  field that runner ignores alone. */
+FuzzScenario
+restore_read_fields(FuzzScenario candidate, const FuzzScenario& original,
+                    FuzzMode mode)
+{
+    candidate.faults = original.faults;
+    candidate.conn.fault_target_port = original.conn.fault_target_port;
+    if (mode == FuzzMode::ConnServe) {
+        candidate.conn = original.conn;
+    } else {
+        candidate.rpc = original.rpc;
+        candidate.conn.rto_us = original.conn.rto_us;
+    }
+    return candidate;
+}
+
+TEST(ScenarioShrinkerTest, ServeShrinksTouchOnlyFieldsTheirRunnerReads)
+{
+    // Connection-count failures on seeds forced to ConnServe/RpcServe:
+    // the mode's passes must reach a fixpoint under budget and never
+    // propose a mutation the TCP-side runner cannot see.
+    ScenarioFuzzer fuzzer;
+    for (FuzzMode mode : {FuzzMode::ConnServe, FuzzMode::RpcServe}) {
+        for (uint64_t seed = 1; seed <= 50; ++seed) {
+            FuzzScenario failing = fuzzer.generate(seed);
+            failing.workload.mode = mode;
+            auto conns = [mode](const FuzzScenario& s) {
+                return mode == FuzzMode::ConnServe ? s.conn.connections
+                                                   : s.rpc.connections;
+            };
+            if (conns(failing) < 2)
+                continue;
+            SCOPED_TRACE(std::string(to_string(mode)) + " seed " +
+                         std::to_string(seed));
+            const std::string original = failing.to_string();
+            ShrinkResult res =
+                ScenarioShrinker(
+                    [&](const FuzzScenario& s) {
+                        EXPECT_EQ(restore_read_fields(s, failing, mode)
+                                      .to_string(),
+                                  original);
+                        return conns(s) >= 2;
+                    },
+                    shrink_passes(failing))
+                    .shrink(failing);
+            EXPECT_LT(res.predicate_runs, 300u);
+            EXPECT_LE(conns(res.scenario), 3u);
+        }
+    }
 }
 
 TEST(ConservationLedgerTest, BalancedLedgerPasses)
