@@ -173,6 +173,49 @@ constexpr std::array<uint64_t, kChurnLastSeed> kChurnSeedStateHash = {{
     0xa7e33d428a259141, 0x44743a7b11e8460f,
 }};
 
+/** Serving-harness runs the pins below cover, in table row order:
+ *  both ARP caches pre-seeded, ARP resolved across the testbed, and
+ *  wire faults targeted at one client flow. */
+enum class ServeCase : uint8_t {
+    PreseededArp,
+    ResolvedArp,
+    TargetedFaults,
+};
+constexpr int kServeCases = 3;
+
+/** One harness run's hashes: its state_hash and its app-pair hash
+ *  (FastPathReport::flow_hash or RpcReport::digest_hash). */
+struct ServePin
+{
+    uint64_t state_hash;
+    uint64_t app_hash;
+};
+
+/** run_fastpath_scenario at fastpath_diff_test's small_cfg shape
+ *  (fastpath_fault_test's faulted_cfg shape for TargetedFaults);
+ *  rows in ServeCase order, columns FLD then CPU. */
+constexpr std::array<std::array<ServePin, 2>, kServeCases>
+    kByteStreamServePin = {{
+        {{{0x8460361f83e39549, 0x84d000b397663911},
+          {0x7228b4db15253fd9, 0x84d000b397663911}}},
+        {{{0x7608b1433b147db5, 0x84d000b397663911},
+          {0x807040620f0e7f78, 0x84d000b397663911}}},
+        {{{0x844771d202abc6f2, 0x8ecb1c82eb66f4e5},
+          {0x683df6f13cf33a46, 0x8ecb1c82eb66f4e5}}},
+    }};
+
+/** run_rpc_scenario at rpc_diff_test's small_cfg shape (its
+ *  fault-overlap point for TargetedFaults); same layout. */
+constexpr std::array<std::array<ServePin, 2>, kServeCases>
+    kRpcServePin = {{
+        {{{0xdf2c7922cf02bac6, 0xc7517103755859e2},
+          {0x675b4d81c40b9c79, 0xc7517103755859e2}}},
+        {{{0xb4e81ab9eadf39d3, 0xc7517103755859e2},
+          {0xe29cfb657c4d8eab, 0xc7517103755859e2}}},
+        {{{0x1592b58c02006ec3, 0xc7517103755859e2},
+          {0x86fd11ae27ddfe18, 0xc7517103755859e2}}},
+    }};
+
 /** ChurnReport::state_hash of the reference churn run. */
 constexpr uint64_t kChurnStateHash = 0xc69426c2f2e0d1cd;
 /** HeavyHitterSketch::state_hash of the reference update stream. */

@@ -13,6 +13,9 @@
  *  - Causal trace digests of the four stock echo scenarios (FLD,
  *    CPU RSS spread, VXLAN, MPRQ).
  *  - One fold of the generated scenario dumps of seeds 1-200.
+ *  - The serving harnesses' state_hash and flow/digest hash for both
+ *    app pairs, FLD- and CPU-served, with ARP pre-seeded, ARP
+ *    resolved and targeted wire faults.
  *  - The churn harness and heavy-hitter sketch state hashes, and the
  *    churn state hashes of `fld_fuzz --churn` seeds 1-50.
  *
@@ -29,8 +32,10 @@
 #include <string>
 
 #include "apps/churn_harness.h"
+#include "apps/fastpath_harness.h"
 #include "apps/fuzz_dimension.h"
 #include "apps/fuzz_runner.h"
+#include "apps/rpc_harness.h"
 #include "apps/scenarios.h"
 #include "fld/sketch.h"
 #include "sim/fuzz.h"
@@ -173,6 +178,88 @@ TEST(ContractManifest, EchoTraceDigestsMatchPinned)
     mprq.driver_base.rx_stride_shift = 10;
     expect_pinned("mprq echo", kMprqEchoTraceHash,
                   cpu_echo_trace_hash(mprq));
+}
+
+// ---------------------------------------------------------------------
+// Serving-harness hashes
+// ---------------------------------------------------------------------
+
+constexpr apps::FastPathMode kServeModes[2] = {apps::FastPathMode::Fld,
+                                               apps::FastPathMode::Cpu};
+
+apps::FastPathHarnessConfig
+byte_stream_cfg(ServeCase c, apps::FastPathMode mode)
+{
+    apps::FastPathHarnessConfig cfg;
+    cfg.mode = mode;
+    cfg.app.connections = 32;
+    cfg.app.requests_per_conn = 4;
+    cfg.app.request_bytes = 512;
+    cfg.preseed_arp = c != ServeCase::ResolvedArp;
+    if (c == ServeCase::TargetedFaults) {
+        cfg.app.connections = 64;
+        cfg.app.requests_per_conn = 3;
+        cfg.app.request_bytes = 256;
+        cfg.tb.nic.wire_faults.drop_prob = 0.25;
+        cfg.tb.nic.wire_faults.reorder_prob = 0.15;
+        cfg.tb.nic.wire_faults.duplicate_prob = 0.10;
+        cfg.fault_target_port = 20013;
+    }
+    return cfg;
+}
+
+apps::RpcHarnessConfig
+rpc_cfg(ServeCase c, apps::FastPathMode mode)
+{
+    apps::RpcHarnessConfig cfg;
+    cfg.mode = mode;
+    cfg.client.connections = 16;
+    cfg.client.requests_per_conn = 3;
+    cfg.client.payload_min = 32;
+    cfg.client.payload_max = 400;
+    cfg.client.methods_mask = 0xf;
+    cfg.client.think_mean = sim::microseconds(2);
+    cfg.client.seed = 77;
+    cfg.preseed_arp = c != ServeCase::ResolvedArp;
+    if (c == ServeCase::TargetedFaults) {
+        cfg.tb.nic.wire_faults.drop_prob = 0.25;
+        cfg.tb.nic.wire_faults.reorder_prob = 0.15;
+        cfg.tb.nic.wire_faults.duplicate_prob = 0.10;
+        cfg.tb.fault_seed = 0xfa17;
+        cfg.fault_target_port = 21003;
+    }
+    return cfg;
+}
+
+void
+expect_serve_pin(const char* pair, int c, int m, const ServePin& want,
+                 bool ok, uint64_t state_hash, uint64_t app_hash)
+{
+    static const char* const kCases[kServeCases] = {
+        "preseeded-arp", "resolved-arp", "targeted-faults"};
+    std::string what = std::string(pair) + " " + kCases[c] +
+                       (m == 0 ? " fld" : " cpu");
+    EXPECT_TRUE(ok) << what;
+    expect_pinned((what + " state_hash").c_str(), want.state_hash,
+                  state_hash);
+    expect_pinned((what + " app hash").c_str(), want.app_hash, app_hash);
+}
+
+TEST(ContractManifest, ServeHarnessHashesMatchPinned)
+{
+    for (int c = 0; c < kServeCases; ++c) {
+        for (int m = 0; m < 2; ++m) {
+            apps::FastPathReport fp = apps::run_fastpath_scenario(
+                byte_stream_cfg(ServeCase(c), kServeModes[m]));
+            expect_serve_pin("byte-stream", c, m,
+                             kByteStreamServePin[c][m], fp.ok,
+                             fp.state_hash, fp.flow_hash);
+            apps::RpcReport rpc = apps::run_rpc_scenario(
+                rpc_cfg(ServeCase(c), kServeModes[m]));
+            expect_serve_pin("rpc", c, m, kRpcServePin[c][m], rpc.ok,
+                             rpc.state_hash, rpc.digest_hash);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
