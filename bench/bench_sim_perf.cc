@@ -16,11 +16,14 @@
  * Compare mode: --baseline=PATH reads a previously written
  * BENCH_SIM_PERF.json and FAILS (exit 1) when any sample's events/sec
  * drops more than 20% below the baseline — the CI perf-smoke gate.
+ * The fastpath_10k point also exits 1 when the harness oracles trip,
+ * before any JSON is written.
  *
  * Usage: bench_sim_perf [--out=PATH] [--baseline=PATH] [--quick]
  */
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -87,9 +90,14 @@ sample_fastpath(const std::string& name, uint32_t conns)
     cfg.app.tx_ring_entries = 256;
     cfg.app.rx_ring_entries = 1024;
     cfg.sink.rx_ring_entries = 1024;
-    cfg.trace = false; // measure the engine, not the tracer
 
     FastPathReport r = run_fastpath_scenario(cfg);
+    if (!r.ok) {
+        // A broken run's speed is no measurement: fail, archive nothing.
+        std::fprintf(stderr, "%s: harness oracles tripped\n%s",
+                     name.c_str(), r.summary().c_str());
+        std::exit(1);
+    }
 
     sim::SimPerfSample out;
     out.name = name;
@@ -97,11 +105,6 @@ sample_fastpath(const std::string& name, uint32_t conns)
     out.events = r.events;
     out.packets = r.server_stats.frames_rx;
     out.sim_time = r.end_time;
-    if (!r.ok)
-        std::fprintf(stderr, "warning: %s oracles tripped: %s\n",
-                     name.c_str(),
-                     r.violations.empty() ? "?"
-                                          : r.violations[0].c_str());
     return out;
 }
 

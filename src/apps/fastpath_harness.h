@@ -1,100 +1,27 @@
 /**
  * @file
- * End-to-end harness for the host fast path: the same AppEmu client
- * workload served by a server-side FastPath stack that is either
- * FLD-driven (the stack lives behind the FLD AXI stream as an AFU,
- * frames never touch the server CPU driver) or CPU-driven (the stack
- * sits on a conventional CpuDriver on the server host's vPort).
- *
- * The harness assembles a remote Testbed (client node, 25 GbE wire,
- * server node), runs the workload to quiescence and folds the result
- * into a FastPathReport: per-flow byte digests from both ends, an
- * exactly-once/lifecycle verdict, a frame ConservationLedger, trace
- * violations (optional) and a deterministic state hash. Two runs of
- * the same config must produce bit-identical hashes; FLD-driven and
- * CPU-driven runs of the same workload must produce identical per-flow
- * digest maps (the differential oracle — frame timing differs, bytes
- * delivered may not).
+ * The byte-stream app pair on the serving harness (serve_harness.h):
+ * AppEmu clients stream requests into a SinkApp on the server stack.
+ * The report adds per-flow byte digests from both ends and an
+ * exactly-once/lifecycle verdict. FLD- and CPU-served runs of one
+ * workload must produce identical flow hashes (the differential
+ * oracle — frame timing differs, bytes delivered may not).
  */
 #ifndef FLD_APPS_FASTPATH_HARNESS_H
 #define FLD_APPS_FASTPATH_HARNESS_H
 
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "accel/accelerator.h"
 #include "apps/app_emu.h"
-#include "apps/testbed.h"
-#include "driver/cpu_driver.h"
-#include "driver/fastpath.h"
+#include "apps/serve_harness.h"
 
 namespace fld::apps {
 
-/**
- * AFU bridging FLD's AXI stream into a FastPath TCP stack — the
- * paper's "accelerator with its own network driver" shape: the full
- * transport endpoint lives on the FPGA side of the PCIe boundary.
- *
- * RX: stream packets become raw frames into FastPath::on_rx after the
- * unit bank's service time. TX: the stack's egress hook wraps frames
- * in stream packets carrying the steering metadata (context/resume
- * table) captured from the first received packet; send() returning
- * false (FLD out of credits) propagates as driver backpressure, which
- * the stack absorbs with its retry backlog.
- */
-class HostStackAfu : public accel::Accelerator
+struct FastPathHarnessConfig : ServeConfig
 {
-  public:
-    /** Transport hot path on FPGA: fast, deep queues (the stack, not
-     *  the AFU bank, is the flow-control point). */
-    static accel::UnitModel default_model()
-    {
-        accel::UnitModel m;
-        m.units = 2;
-        m.setup_time = sim::nanoseconds(40);
-        m.unit_gbps = 100.0;
-        m.queue_depth = 4096;
-        return m;
-    }
-
-    HostStackAfu(sim::EventQueue& eq, core::FlexDriver& fld,
-                 driver::FastPath& fp, uint32_t tx_queue = 0,
-                 accel::UnitModel model = default_model());
-
-  protected:
-    void process(core::StreamPacket&& pkt) override;
-
-  private:
-    bool transmit(net::Packet& frame);
-
-    driver::FastPath& fp_;
-    uint32_t tx_queue_;
-    core::StreamMeta meta_;   ///< steering template from first RX
-    bool meta_valid_ = false;
-};
-
-/** Which driver serves the server-side stack. */
-enum class FastPathMode { Fld, Cpu };
-
-struct FastPathHarnessConfig
-{
-    FastPathMode mode = FastPathMode::Fld;
     AppEmuConfig app;   ///< client workload (remote ip/port filled in)
     SinkAppConfig sink;
-    driver::ConnConfig conn; ///< TCP knobs for both stacks
-    uint32_t slot_bytes = 2048;
-    TestbedConfig tb;   ///< fault knobs ride in tb.nic.wire_faults etc.
-    /** When non-zero, wire faults hit only frames of this client
-     *  port's flow (see EthernetLink::set_fault_filter). */
-    uint16_t fault_target_port = 0;
-    /** Record a causal trace and run TraceChecker over it. */
-    bool trace = false;
-    /** Pre-seed both ARP caches (default); clear to exercise ARP
-     *  resolution across the testbed. */
-    bool preseed_arp = true;
-    uint32_t fld_rx_buffers = 16;
 };
 
 /** One flow's byte-stream summary, from either end. */
@@ -107,42 +34,23 @@ struct FlowDigest
     bool reset = false;
 };
 
-struct FastPathReport
+struct FastPathReport : ServeReport
 {
-    bool ok = false;
-    std::vector<std::string> violations;
-
     /** Keyed by client local port (unique per incarnation). */
     std::map<uint16_t, FlowDigest> client_flows;
     std::map<uint16_t, FlowDigest> server_flows;
 
     /** FNV over the per-flow digest maps: the differential oracle
-     *  value (identical across FLD and CPU modes). */
+     *  value (identical across FLD and CPU modes). state_hash folds
+     *  it with every counter below. */
     uint64_t flow_hash = 0;
-    /** flow_hash + every counter below: the bit-identical-rerun
-     *  oracle value (identical across same-config runs). */
-    uint64_t state_hash = 0;
 
-    sim::ConservationLedger ledger;
-    sim::FaultCounters faults;
-    std::vector<std::string> trace_violations;
-
-    driver::FastPathStats client_stats;
-    driver::FastPathStats server_stats;
     uint32_t opened = 0;
     uint32_t accepted = 0;
     uint32_t closed = 0;
     uint32_t resets = 0;
     uint64_t client_bytes = 0; ///< sum of client sent bytes
     uint64_t server_bytes = 0; ///< sum of server delivered bytes
-    bool client_quiesced = false;
-    bool server_quiesced = false;
-    sim::TimePs end_time = 0;
-    /** Engine events the traffic phase executed and the host seconds
-     *  it took — simulator-throughput telemetry (observation only;
-     *  wall time never feeds back into the simulation). */
-    uint64_t events = 0;
-    double run_wall_sec = 0;
 
     std::string summary() const;
 };

@@ -165,6 +165,38 @@ fill_fault_counters(const Testbed& tb, FuzzRunDigest& d)
         d.faults = tb.fault_plan->counters();
 }
 
+/** The serving knobs both app pairs draw from the scenario. */
+void
+set_serve_knobs(ServeConfig& cfg, const sim::FuzzScenario& s,
+                bool fld_mode, bool trace)
+{
+    cfg.mode = fld_mode ? FastPathMode::Fld : FastPathMode::Cpu;
+    cfg.conn.rto =
+        sim::microseconds(double(s.conn.rto_us ? s.conn.rto_us : 200));
+    cfg.tb.nic.wire_faults = s.faults.wire;
+    cfg.tb.tlp.faults = s.faults.pcie;
+    cfg.tb.accel_faults = s.faults.accel;
+    cfg.tb.fault_seed = s.faults.seed;
+    cfg.trace = trace;
+}
+
+/** A serving-harness run's digest, filled from the shared frame. */
+FuzzRunDigest
+serve_digest(const char* label, const ServeReport& r)
+{
+    FuzzRunDigest d;
+    d.label = label;
+    // Lost frames gate the differential the same way echo drops do:
+    // under loss the two modes legitimately diverge.
+    d.drops = r.faults.wire_drops + r.faults.wire_corruptions;
+    d.faults = r.faults;
+    d.ledger = r.ledger;
+    d.violations = r.violations;
+    d.trace_violations = r.trace_violations;
+    d.end_time = r.end_time;
+    return d;
+}
+
 } // namespace
 
 std::string
@@ -395,11 +427,8 @@ FuzzRunner::run_rdma(const sim::FuzzScenario& s)
 FuzzRunDigest
 FuzzRunner::run_conn(const sim::FuzzScenario& s, bool fld_mode)
 {
-    FuzzRunDigest d;
-    d.label = fld_mode ? "conn-fld" : "conn-cpu";
-
     FastPathHarnessConfig cfg;
-    cfg.mode = fld_mode ? FastPathMode::Fld : FastPathMode::Cpu;
+    set_serve_knobs(cfg, s, fld_mode, opt_.check_trace);
     cfg.app.connections = std::max(1u, s.conn.connections);
     cfg.app.requests_per_conn = std::max(1u, s.conn.requests);
     cfg.app.request_bytes = std::max(1u, s.conn.request_bytes);
@@ -410,39 +439,22 @@ FuzzRunner::run_conn(const sim::FuzzScenario& s, bool fld_mode)
     cfg.app.tx_ring_entries = 128;
     cfg.app.rx_ring_entries = 512;
     cfg.sink.rx_ring_entries = 512;
-    cfg.conn.rto =
-        sim::microseconds(double(s.conn.rto_us ? s.conn.rto_us : 200));
-    cfg.tb.nic.wire_faults = s.faults.wire;
-    cfg.tb.tlp.faults = s.faults.pcie;
-    cfg.tb.accel_faults = s.faults.accel;
-    cfg.tb.fault_seed = s.faults.seed;
     cfg.fault_target_port = s.conn.fault_target_port;
-    cfg.trace = opt_.check_trace;
 
     FastPathReport r = run_fastpath_scenario(cfg);
+    FuzzRunDigest d = serve_digest(fld_mode ? "conn-fld" : "conn-cpu", r);
     d.tx = r.client_bytes;
     d.rx = r.server_bytes;
-    // Lost frames gate the differential the same way echo drops do:
-    // under loss the two modes legitimately diverge in timing.
-    d.drops = r.faults.wire_drops + r.faults.wire_corruptions;
     for (const auto& [port, fd] : r.server_flows)
         d.flow_digests[port] = fd.digest;
-    d.faults = r.faults;
-    d.ledger = r.ledger;
-    d.violations = r.violations;
-    d.trace_violations = r.trace_violations;
-    d.end_time = r.end_time;
     return d;
 }
 
 FuzzRunDigest
 FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
 {
-    FuzzRunDigest d;
-    d.label = fld_mode ? "rpc-fld" : "rpc-cpu";
-
     RpcHarnessConfig cfg;
-    cfg.mode = fld_mode ? FastPathMode::Fld : FastPathMode::Cpu;
+    set_serve_knobs(cfg, s, fld_mode, opt_.check_trace);
     cfg.client.connections = std::max(1u, s.rpc.connections);
     cfg.client.requests_per_conn = std::max(1u, s.rpc.requests);
     cfg.client.payload_min = std::max(1u, s.rpc.payload_min);
@@ -457,12 +469,6 @@ FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
     // identical for the differential comparison.
     cfg.client.seed = s.seed ^ 0xa5a5a5a5deadbeefull;
     cfg.server.service.workers = std::max(1u, s.rpc.workers);
-    cfg.conn.rto =
-        sim::microseconds(double(s.conn.rto_us ? s.conn.rto_us : 200));
-    cfg.tb.nic.wire_faults = s.faults.wire;
-    cfg.tb.tlp.faults = s.faults.pcie;
-    cfg.tb.accel_faults = s.faults.accel;
-    cfg.tb.fault_seed = s.faults.seed;
     // The fault-concentration port is drawn for the AppEmu range
     // (20000+); remap it onto the RPC client range (base_port 21000)
     // keeping the targeted/untargeted split. Deterministic per seed.
@@ -470,14 +476,11 @@ FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
         ? uint16_t(21000 + (s.conn.fault_target_port - 20000) %
                                cfg.client.connections)
         : 0;
-    cfg.trace = opt_.check_trace;
 
     RpcReport r = run_rpc_scenario(cfg);
+    FuzzRunDigest d = serve_digest(fld_mode ? "rpc-fld" : "rpc-cpu", r);
     d.tx = r.client_app.requests_sent;
     d.rx = r.client_app.responses;
-    // Lost frames gate the differential like echo drops: under loss
-    // the two modes legitimately diverge (resets, missing responses).
-    d.drops = r.faults.wire_drops + r.faults.wire_corruptions;
     // Fold the per-request response digests per connection (the high
     // half of a request_id is the client port) so the existing
     // per-flow differential machinery diffs them FLD vs CPU.
@@ -487,11 +490,6 @@ FuzzRunner::run_rpc(const sim::FuzzScenario& s, bool fld_mode)
             h = sim::kFnvBasis;
         h = sim::fnv1a64_u64(digest, sim::fnv1a64_u64(id, h));
     }
-    d.faults = r.faults;
-    d.ledger = r.ledger;
-    d.violations = r.violations;
-    d.trace_violations = r.trace_violations;
-    d.end_time = r.end_time;
     return d;
 }
 

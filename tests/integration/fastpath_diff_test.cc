@@ -4,16 +4,20 @@
  * workload served FLD-driven and CPU-driven must deliver identical
  * per-flow byte streams (digest equality), every run must satisfy the
  * lifecycle / exactly-once / conservation oracles, and a same-config
- * rerun must be bit-identical (state-hash equality).
+ * rerun must be bit-identical (state-hash equality). The trace and
+ * ARP checks take the serving harness's app pair as one more input:
+ * they run the byte-stream and the RPC pair alike.
  */
 #include <gtest/gtest.h>
 
 #include "apps/fastpath_harness.h"
+#include "apps/rpc_harness.h"
 
 using namespace fld;
 using apps::FastPathHarnessConfig;
 using apps::FastPathMode;
 using apps::FastPathReport;
+using apps::ServeConfig;
 
 namespace {
 
@@ -35,6 +39,64 @@ expect_clean(const FastPathReport& r, const char* what)
     EXPECT_EQ(r.resets, 0u) << what;
     EXPECT_TRUE(r.client_quiesced) << what;
     EXPECT_TRUE(r.server_quiesced) << what;
+}
+
+/** One app pair's run: the shared report frame, whether every
+ *  connection ended without a reset or abort, and the summary. */
+struct PairRun
+{
+    apps::ServeReport frame;
+    bool no_resets;
+    std::string summary;
+};
+
+/** An app pair on the serving harness, run for @p conns connections
+ *  of its small workload under the shared knobs @p serve. */
+struct AppPair
+{
+    const char* name;
+    PairRun (*run)(const ServeConfig& serve, uint32_t conns);
+};
+
+const AppPair kAppPairs[] = {
+    {"byte-stream",
+     [](const ServeConfig& serve, uint32_t conns) {
+         FastPathHarnessConfig cfg = small_cfg(serve.mode);
+         static_cast<ServeConfig&>(cfg) = serve;
+         cfg.app.connections = conns;
+         FastPathReport r = apps::run_fastpath_scenario(cfg);
+         return PairRun{r, r.resets == 0, r.summary()};
+     }},
+    {"rpc",
+     [](const ServeConfig& serve, uint32_t conns) {
+         apps::RpcHarnessConfig cfg;
+         static_cast<ServeConfig&>(cfg) = serve;
+         cfg.client.connections = conns;
+         cfg.client.requests_per_conn = 3;
+         cfg.client.payload_min = 32;
+         cfg.client.payload_max = 400;
+         cfg.client.methods_mask = 0xf;
+         cfg.client.think_mean = sim::microseconds(2);
+         cfg.client.seed = 77;
+         apps::RpcReport r = apps::run_rpc_scenario(cfg);
+         return PairRun{r, r.client_app.aborted == 0, r.summary()};
+     }},
+};
+
+void
+expect_clean(const PairRun& r, const std::string& what)
+{
+    EXPECT_TRUE(r.frame.ok) << what << ":\n" << r.summary;
+    EXPECT_TRUE(r.no_resets) << what;
+    EXPECT_TRUE(r.frame.client_quiesced) << what;
+    EXPECT_TRUE(r.frame.server_quiesced) << what;
+}
+
+std::string
+label(const AppPair& pair, FastPathMode mode)
+{
+    return std::string(pair.name) +
+           (mode == FastPathMode::Fld ? " fld" : " cpu");
 }
 
 } // namespace
@@ -89,17 +151,22 @@ TEST(FastPathDiff, SameSeedRerunIsBitIdentical)
 
 TEST(FastPathDiff, TraceCheckerGreenBothModes)
 {
-    for (FastPathMode mode :
-         {FastPathMode::Fld, FastPathMode::Cpu}) {
-        FastPathHarnessConfig cfg = small_cfg(mode);
-        cfg.app.connections = 64;
-        cfg.trace = true;
-        FastPathReport r = apps::run_fastpath_scenario(cfg);
-        expect_clean(r, mode == FastPathMode::Fld ? "fld" : "cpu");
-        EXPECT_TRUE(r.trace_violations.empty())
-            << r.trace_violations.size() << " trace violations, first: "
-            << (r.trace_violations.empty() ? ""
-                                           : r.trace_violations[0]);
+    for (const AppPair& pair : kAppPairs) {
+        for (FastPathMode mode :
+             {FastPathMode::Fld, FastPathMode::Cpu}) {
+            ServeConfig serve;
+            serve.mode = mode;
+            serve.trace = true;
+            PairRun r = pair.run(serve, 64);
+            expect_clean(r, label(pair, mode));
+            EXPECT_TRUE(r.frame.trace_violations.empty())
+                << label(pair, mode) << ": "
+                << r.frame.trace_violations.size()
+                << " trace violations, first: "
+                << (r.frame.trace_violations.empty()
+                        ? ""
+                        : r.frame.trace_violations[0]);
+        }
     }
 }
 
@@ -108,15 +175,19 @@ TEST(FastPathDiff, ArpResolutionAcrossTestbed)
     // No pre-seeded ARP caches: the client stack must resolve the
     // server's MAC over the wire (and vice versa for the SYN-ACK
     // path, where the server learns the client MAC from the SYN).
-    for (FastPathMode mode :
-         {FastPathMode::Fld, FastPathMode::Cpu}) {
-        FastPathHarnessConfig cfg = small_cfg(mode);
-        cfg.app.connections = 8;
-        cfg.preseed_arp = false;
-        FastPathReport r = apps::run_fastpath_scenario(cfg);
-        expect_clean(r, mode == FastPathMode::Fld ? "fld" : "cpu");
-        EXPECT_GE(r.client_stats.arp_requests, 1u);
-        EXPECT_GE(r.server_stats.arp_replies_sent, 1u);
+    for (const AppPair& pair : kAppPairs) {
+        for (FastPathMode mode :
+             {FastPathMode::Fld, FastPathMode::Cpu}) {
+            ServeConfig serve;
+            serve.mode = mode;
+            serve.preseed_arp = false;
+            PairRun r = pair.run(serve, 8);
+            expect_clean(r, label(pair, mode));
+            EXPECT_GE(r.frame.client_stats.arp_requests, 1u)
+                << label(pair, mode);
+            EXPECT_GE(r.frame.server_stats.arp_replies_sent, 1u)
+                << label(pair, mode);
+        }
     }
 }
 
