@@ -51,6 +51,9 @@ RpcClientPool::RpcClientPool(sim::EventQueue& eq, driver::FastPath& fp,
 {
     app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
                             [this] { on_notify(); });
+    for (uint8_t m = 0; m < kRpcMethodCount; ++m)
+        if (cfg_.methods_mask & (1u << m))
+            enabled_methods_.push_back(m);
     slots_.resize(cfg_.connections);
     for (uint32_t i = 0; i < cfg_.connections; ++i) {
         slots_[i].port = uint16_t(cfg_.base_port + i);
@@ -83,6 +86,7 @@ RpcClientPool::open_next_batch()
             finish_slot(i, /*aborted=*/true);
             continue;
         }
+        s.live = std::make_unique<LiveConn>();
         by_conn_[s.conn_id] = i;
     }
     if (opens_issued_ < cfg_.connections)
@@ -118,19 +122,19 @@ RpcClientPool::service()
         if (d.type == driver::kDescData) {
             auto it = by_conn_.find(uint32_t(d.opaque));
             if (it != by_conn_.end()) {
-                Slot& s = slots_[it->second];
-                if (!s.decoder.feed(arena + d.addr, d.len) &&
-                    !s.error_counted) {
+                uint32_t i = it->second;
+                LiveConn& l = *slots_[i].live;
+                if (!l.decoder.feed(arena + d.addr, d.len) &&
+                    !l.error_counted) {
                     ++stats_.decode_errors;
-                    s.error_counted = true;
+                    l.error_counted = true;
                     errors_.push_back(strfmt(
-                        "slot %u: response stream poisoned (%s)",
-                        it->second,
-                        rpc::to_string(s.decoder.error_code())));
+                        "slot %u: response stream poisoned (%s)", i,
+                        rpc::to_string(l.decoder.error_code())));
                 }
                 rpc::Frame f;
-                while (s.decoder.next(&f))
-                    on_response(it->second, std::move(f));
+                while (l.decoder.next(&f))
+                    on_response(i, std::move(f));
             }
         }
         rx.release(slot);
@@ -145,26 +149,26 @@ RpcClientPool::service()
 void
 RpcClientPool::handle_ctrl(const driver::CtrlMsg& m)
 {
+    // Only live connections are mapped: a finished slot ignores
+    // anything that still arrives for its connection.
     auto it = by_conn_.find(m.conn_id);
     if (it == by_conn_.end())
         return;
     uint32_t i = it->second;
-    Slot& s = slots_[i];
     switch (m.type) {
     case driver::CtrlMsg::Type::Opened:
         ++stats_.opened;
-        s.opened = true;
         schedule_next_request(i);
         break;
     case driver::CtrlMsg::Type::Closed:
-        if (!s.terminal) {
-            ++stats_.closed;
-            finish_slot(i, /*aborted=*/false);
-        }
+        ++stats_.closed;
+        finish_slot(i, /*aborted=*/false);
         break;
     case driver::CtrlMsg::Type::Reset:
-        if (!s.terminal)
-            finish_slot(i, /*aborted=*/true);
+        finish_slot(i, /*aborted=*/true);
+        // Release the dead connection back to the stack (a Closed one
+        // frees itself after time-wait).
+        fp_.close(m.conn_id);
         break;
     case driver::CtrlMsg::Type::Accepted:
         break; // clients never listen
@@ -197,13 +201,10 @@ RpcClientPool::build_request(uint32_t slot_index)
         return;
 
     // Draw the method from the enabled set, then the payload.
-    std::vector<uint8_t> enabled;
-    for (uint8_t m = 0; m < kRpcMethodCount; ++m)
-        if (cfg_.methods_mask & (1u << m))
-            enabled.push_back(m);
-    uint8_t method =
-        enabled.empty() ? kRpcEcho
-                        : enabled[s.rng.uniform(enabled.size())];
+    uint8_t method = enabled_methods_.empty()
+                         ? kRpcEcho
+                         : enabled_methods_[s.rng.uniform(
+                               enabled_methods_.size())];
     uint32_t len = cfg_.payload_min;
     if (cfg_.payload_max > cfg_.payload_min)
         len = uint32_t(
@@ -217,18 +218,19 @@ RpcClientPool::build_request(uint32_t slot_index)
             b = uint8_t(s.rng.next());
     }
 
-    s.req_id = uint64_t(s.port) << 32 | s.next_seq++;
-    s.req_method = method;
-    s.req_payload = std::move(payload);
-    s.waiting = true;
-    s.t0 = eq_.now(); // latency includes ring/backpressure time
-    s.pending_out = rpc::encode_frame(method, s.req_id,
-                                      s.req_payload.data(),
-                                      s.req_payload.size());
-    s.pending_off = 0;
+    LiveConn& l = *s.live;
+    l.req_id = uint64_t(s.port) << 32 | s.next_seq++;
+    l.req_method = method;
+    l.req_payload = std::move(payload);
+    l.waiting = true;
+    l.t0 = eq_.now(); // latency includes ring/backpressure time
+    l.pending_out = rpc::encode_frame(method, l.req_id,
+                                      l.req_payload.data(),
+                                      l.req_payload.size());
+    l.pending_off = 0;
     ++stats_.requests_sent;
     ++stats_.per_method[method & 7];
-    stats_.request_bytes += s.req_payload.size();
+    stats_.request_bytes += l.req_payload.size();
 
     bool posted = false;
     if (!pump_slot(slot_index, posted))
@@ -241,11 +243,9 @@ bool
 RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
 {
     Slot& s = slots_[slot_index];
-    if (s.terminal) {
-        s.pending_out.clear();
-        s.pending_off = 0;
-        return true;
-    }
+    if (s.terminal)
+        return true; // finish_slot dropped the queued bytes
+    LiveConn& l = *s.live;
     driver::DescRing& ring = fp_.tx_ring(app_);
     uint8_t* arena = fp_.tx_arena(app_);
     const uint32_t slot_bytes = fp_.slot_bytes();
@@ -254,9 +254,9 @@ RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
             ? std::min(cfg_.tx_chunk_bytes, slot_bytes)
             : slot_bytes;
 
-    while (s.pending_off < s.pending_out.size()) {
+    while (l.pending_off < l.pending_out.size()) {
         uint32_t remaining =
-            uint32_t(s.pending_out.size() - s.pending_off);
+            uint32_t(l.pending_out.size() - l.pending_off);
         uint32_t chunk = std::min(remaining, chunk_max);
         driver::RingDesc d;
         d.type = driver::kDescData;
@@ -277,12 +277,12 @@ RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
             }
         }
         std::memcpy(arena + d.addr,
-                    s.pending_out.data() + s.pending_off, chunk);
+                    l.pending_out.data() + l.pending_off, chunk);
         posted_any = true;
-        s.pending_off += chunk;
+        l.pending_off += chunk;
     }
-    s.pending_out.clear();
-    s.pending_off = 0;
+    l.pending_out.clear();
+    l.pending_off = 0;
     return true;
 }
 
@@ -305,36 +305,37 @@ void
 RpcClientPool::on_response(uint32_t slot_index, rpc::Frame&& f)
 {
     Slot& s = slots_[slot_index];
-    if (!s.waiting || f.request_id != s.req_id) {
+    LiveConn& l = *s.live;
+    if (!l.waiting || f.request_id != l.req_id) {
         ++stats_.protocol_errors;
         errors_.push_back(strfmt(
             "slot %u: unexpected response id %016llx (waiting=%d)",
             slot_index, (unsigned long long)f.request_id,
-            int(s.waiting)));
+            int(l.waiting)));
         return;
     }
-    s.waiting = false;
+    l.waiting = false;
 
     // Shadow oracle: the response must equal the reference transform
     // of the request we actually sent — unconditionally, faults or
     // not (TCP either delivers the stream intact or resets).
     std::vector<uint8_t> expect =
-        rpc_execute(s.req_method, s.req_id, s.req_payload.data(),
-                    s.req_payload.size());
+        rpc_execute(l.req_method, l.req_id, l.req_payload.data(),
+                    l.req_payload.size());
     if (f.payload != expect) {
         ++stats_.conformance_errors;
         errors_.push_back(strfmt(
             "slot %u req %016llx (%s): response diverges from "
             "shadow oracle (%zu vs %zu bytes)",
-            slot_index, (unsigned long long)s.req_id,
-            rpc_method_name(s.req_method), f.payload.size(),
+            slot_index, (unsigned long long)l.req_id,
+            rpc_method_name(l.req_method), f.payload.size(),
             expect.size()));
     }
 
-    sim::TimePs lat = eq_.now() - s.t0;
+    sim::TimePs lat = eq_.now() - l.t0;
     latency_.add(sim::to_us(lat));
     latency_fold_ = sim::fnv1a64_u64(uint64_t(lat), latency_fold_);
-    digests_[s.req_id] =
+    digests_[l.req_id] =
         sim::fnv1a64(f.payload.data(), f.payload.size());
     ++stats_.responses;
     stats_.response_bytes += f.payload.size();
@@ -349,9 +350,10 @@ RpcClientPool::finish_slot(uint32_t slot_index, bool aborted)
     if (s.terminal)
         return;
     s.terminal = true;
-    s.waiting = false;
-    s.pending_out.clear();
-    s.pending_off = 0;
+    if (s.live) {
+        s.live.reset();
+        by_conn_.erase(s.conn_id);
+    }
     if (aborted)
         ++stats_.aborted;
     ++done_count_;

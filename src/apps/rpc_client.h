@@ -25,13 +25,14 @@
 #define FLD_APPS_RPC_CLIENT_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "driver/fastpath.h"
 #include "net/rpc_codec.h"
 #include "sim/stats.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace fld::apps {
@@ -101,18 +102,15 @@ class RpcClientPool
     uint64_t latency_fold() const { return latency_fold_; }
     const std::vector<std::string>& errors() const { return errors_; }
     uint32_t app_id() const { return app_; }
+    /** Connections opened and not yet finished (Closed/Reset). */
+    size_t live_conns() const { return by_conn_.size(); }
 
   private:
-    struct Slot
+    /** State that exists only while the connection is open. */
+    struct LiveConn
     {
-        uint32_t conn_id = driver::FastPath::kNoConn;
-        uint16_t port = 0;
-        Rng rng{1};
         rpc::FrameDecoder decoder;
-        uint32_t requests_done = 0;
-        uint32_t next_seq = 1;
-        bool opened = false;
-        bool terminal = false;
+        bool error_counted = false;
         bool waiting = false; ///< request outstanding
         // Outstanding request (for the shadow oracle).
         uint64_t req_id = 0;
@@ -122,7 +120,19 @@ class RpcClientPool
         // Encoded request bytes not yet posted (TX ring was full).
         std::vector<uint8_t> pending_out;
         size_t pending_off = 0;
-        bool error_counted = false;
+    };
+
+    /** Per-connection record kept for the whole run. */
+    struct Slot
+    {
+        uint32_t conn_id = driver::FastPath::kNoConn;
+        uint16_t port = 0;
+        Rng rng{1};
+        uint32_t requests_done = 0;
+        uint32_t next_seq = 1;
+        bool terminal = false;
+        /** Set by open(), freed by finish_slot(). */
+        std::unique_ptr<LiveConn> live;
     };
 
     void open_next_batch();
@@ -142,9 +152,12 @@ class RpcClientPool
     RpcClientConfig cfg_;
     uint32_t app_ = 0;
 
+    /** Method ids methods_mask enables, in id order. */
+    std::vector<uint8_t> enabled_methods_;
     std::vector<Slot> slots_;
+    /** conn id -> slot, for live connections only. */
     std::map<uint32_t, uint32_t> by_conn_;
-    std::deque<uint32_t> pending_slots_; ///< blocked on a full TX ring
+    Fifo<uint32_t> pending_slots_; ///< blocked on a full TX ring
     uint32_t opens_issued_ = 0;
     uint32_t done_count_ = 0;
     bool service_pending_ = false;

@@ -20,13 +20,13 @@
 #define FLD_APPS_RPC_SERVICE_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
 #include "driver/fastpath.h"
 #include "net/rpc_codec.h"
 #include "sim/event_queue.h"
+#include "util/fifo.h"
 
 namespace fld::apps {
 
@@ -175,15 +175,19 @@ class RpcServer
     uint32_t app_id() const { return app_; }
     /** No queued responses and no handler in flight. */
     bool idle() const;
+    /** Connections accepted and not yet Closed/Reset. */
+    size_t live_conns() const { return conns_.size(); }
 
   private:
+    /** Exists from Accepted until Closed/Reset; a missing id means the
+     *  connection is gone and its bytes and responses are dropped. */
     struct Conn
     {
         rpc::FrameDecoder decoder;
-        std::deque<std::vector<uint8_t>> out; ///< encoded responses
+        Fifo<std::vector<uint8_t>> out; ///< encoded responses
         size_t out_head_off = 0; ///< bytes of out.front() already sent
         bool error_counted = false;
-        bool gone = false; ///< Closed/Reset seen; drop queued output
+        bool ready = false; ///< queued on send_ready_
     };
 
     void on_notify();
@@ -200,9 +204,9 @@ class RpcServer
     uint32_t app_ = 0;
 
     std::map<uint32_t, Conn> conns_;
-    /** Connections with queued output, FIFO, no duplicates. */
-    std::deque<uint32_t> send_ready_;
-    std::map<uint32_t, char> ready_flag_;
+    /** Connections with queued output, FIFO, no duplicates among live
+     *  ones; ids of erased connections are skipped when reached. */
+    Fifo<uint32_t> send_ready_;
     bool service_pending_ = false;
     bool retry_armed_ = false;
     uint32_t response_seq_ = 0; ///< tags for tagged TxDone completions

@@ -973,7 +973,9 @@ FastPath::report_tx_done(Connection& c)
     uint32_t bytes = 0;
     while (!c.tx_records_.empty() &&
            seq_le(c.tx_records_.front().end_seq, c.snd_una_)) {
-        const Connection::TxRecord& rec = c.tx_records_.front();
+        // A copy: emit_bump notifies the app, which may queue more
+        // records (and move the Fifo's storage) before we read rec.
+        const Connection::TxRecord rec = c.tx_records_.front();
         if (rec.tagged) {
             if (bytes)
                 emit_bump(bytes, 0, false);

@@ -34,7 +34,6 @@
 #define FLD_DRIVER_FASTPATH_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -45,6 +44,7 @@
 #include "net/headers.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
+#include "util/fifo.h"
 
 namespace fld::driver {
 
@@ -293,8 +293,8 @@ class Connection
     bool fin_acked_ = false;
     bool peer_fin_rcvd_ = false;
 
-    std::deque<Segment> backlog_;
-    std::deque<Segment> unacked_;
+    Fifo<Segment> backlog_;
+    Fifo<Segment> unacked_;
 
     bool timer_armed_ = false;
     uint64_t timer_gen_ = 0;
@@ -309,7 +309,7 @@ class Connection
         uint32_t tag = 0;
         bool tagged = false; ///< emit an own TxDone echoing `tag`
     };
-    std::deque<TxRecord> tx_records_;
+    Fifo<TxRecord> tx_records_;
 
     uint64_t segments_sent_ = 0;
     uint64_t retransmits_ = 0;
@@ -419,7 +419,9 @@ class FastPath
      */
     uint32_t open(uint32_t app, uint64_t cookie, uint32_t remote_ip,
                   uint16_t remote_port, uint16_t local_port);
-    /** Graceful close: FIN after all queued data. */
+    /** Graceful close: FIN after all queued data. On a connection
+     *  that never finished its handshake, or one that was Reset, frees
+     *  it at once (a Reset connection stays until its app does this). */
     void close(uint32_t conn_id);
     /** Accept passive connections on @p local_port for @p app. */
     void listen(uint16_t local_port, uint32_t app);
@@ -473,8 +475,8 @@ class FastPath
         DescRing rx;
         std::vector<uint8_t> tx_arena;
         std::vector<uint8_t> rx_arena;
-        std::deque<CtrlMsg> ctrl;
-        std::deque<ParkedRx> parked;
+        Fifo<CtrlMsg> ctrl;
+        Fifo<ParkedRx> parked;
         NotifyFn notify;
 
         AppContext(uint32_t tx_entries, uint32_t rx_entries,
@@ -542,7 +544,7 @@ class FastPath
     std::map<uint32_t, net::MacAddr> arp_cache_;
     std::map<uint32_t, bool> arp_pending_; ///< request outstanding
 
-    std::deque<net::Packet> driver_backlog_;
+    Fifo<net::Packet> driver_backlog_;
     bool retry_armed_ = false;
 
     uint16_t ip_id_ = 1;

@@ -360,5 +360,69 @@ TEST(RpcCodec, DeterministicAcrossRuns)
     }
 }
 
+TEST(RpcCodec, NextBetweenFeedsAndResetWithQueuedFrames)
+{
+    // Frames queue up between feed() calls and leave through next() in
+    // stream order however the two interleave; reset() drops whatever
+    // is still queued, and the decoder then starts a fresh stream.
+    Rng rng(0x5eed);
+    std::vector<std::vector<uint8_t>> frames;
+    for (uint64_t id = 1; id <= 8; ++id) {
+        auto p = random_payload(rng, size_t(rng.range(0, 300)));
+        frames.push_back(encode_frame(uint8_t(id & 3), id, p.data(),
+                                      p.size()));
+    }
+    auto feed = [](FrameDecoder& dec, const std::vector<uint8_t>& w) {
+        return dec.feed(w.data(), w.size());
+    };
+    std::vector<uint8_t> three;
+    for (int i = 0; i < 3; ++i)
+        three.insert(three.end(), frames[size_t(i)].begin(),
+                     frames[size_t(i)].end());
+
+    FrameDecoder dec;
+    ASSERT_TRUE(feed(dec, three)); // frames 1-3 in one feed
+    EXPECT_EQ(dec.pending_frames(), 3u);
+    Frame f;
+    ASSERT_TRUE(dec.next(&f));
+    EXPECT_EQ(f.request_id, 1u);
+    ASSERT_TRUE(feed(dec, frames[3])); // 4 queues behind 2 and 3
+    ASSERT_TRUE(dec.next(&f));
+    EXPECT_EQ(f.request_id, 2u);
+    // Frame 5 split: its head arrives with 6 still to come.
+    const std::vector<uint8_t>& five = frames[4];
+    ASSERT_TRUE(dec.feed(five.data(), 10));
+    EXPECT_EQ(dec.pending_frames(), 2u);
+    ASSERT_TRUE(dec.next(&f));
+    EXPECT_EQ(f.request_id, 3u);
+    ASSERT_TRUE(dec.feed(five.data() + 10, five.size() - 10));
+    ASSERT_TRUE(feed(dec, frames[5]));
+    for (uint64_t want = 4; want <= 6; ++want) {
+        ASSERT_TRUE(dec.next(&f));
+        EXPECT_EQ(f.request_id, want);
+        EXPECT_EQ(f.method, uint8_t(want & 3));
+    }
+    EXPECT_FALSE(dec.next(&f));
+    EXPECT_EQ(dec.pending_frames(), 0u);
+
+    // reset() with two frames queued and half of a third buffered.
+    ASSERT_TRUE(feed(dec, frames[6]));
+    ASSERT_TRUE(feed(dec, frames[7]));
+    ASSERT_TRUE(dec.feed(frames[0].data(), 5));
+    EXPECT_EQ(dec.pending_frames(), 2u);
+    EXPECT_EQ(dec.buffered(), 5u);
+    dec.reset();
+    EXPECT_EQ(dec.pending_frames(), 0u);
+    EXPECT_EQ(dec.buffered(), 0u);
+    EXPECT_FALSE(dec.next(&f));
+    EXPECT_EQ(dec.frames_decoded(), 8u) << "counters survive reset()";
+
+    // A fresh stream after reset decodes from its first byte.
+    ASSERT_TRUE(feed(dec, frames[1]));
+    ASSERT_TRUE(dec.next(&f));
+    EXPECT_EQ(f.request_id, 2u);
+    EXPECT_FALSE(dec.next(&f));
+}
+
 } // namespace
 } // namespace fld::rpc
