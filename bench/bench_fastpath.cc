@@ -19,15 +19,14 @@
  * connection fails to close, or when the FLD- and CPU-served runs of
  * a point disagree on the per-flow digest map (flow_hash) — so this
  * binary doubles as the acceptance check for the differential claim
- * at scale. Results go to BENCH_FASTPATH.json (--out=PATH) so CI can
- * archive and trend them.
+ * at scale. Results go to BENCH_FASTPATH.json (--out=PATH) as a
+ * bench::Report; --baseline=PATH fails the run when a simulated row
+ * differs from bench/baselines/BENCH_FASTPATH.json.
  *
- * Usage: bench_fastpath [--out=PATH] [--max-conns=N]
+ * Usage: bench_fastpath [--out=PATH] [--baseline=PATH] [--max-conns=N]
  */
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -113,20 +112,17 @@ run_point(apps::FastPathMode mode, uint32_t conns)
 int
 main(int argc, char** argv)
 {
-    std::string out = "BENCH_FASTPATH.json";
-    uint32_t max_conns = 10'000;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--max-conns=", 12) == 0)
-            max_conns = uint32_t(
-                std::strtoul(argv[i] + 12, nullptr, 0));
-    }
+    std::string out = "BENCH_FASTPATH.json", baseline;
+    uint64_t max_conns = 10'000;
+    bench::parse_flags(argc, argv,
+                       {{"out", out},
+                        {"baseline", baseline},
+                        {"max-conns", max_conns}});
 
     bench::banner("Host fast path serving",
                   "extension: per-flow TCP, FLD-served vs CPU-served");
 
-    std::vector<PointResult> results;
+    bench::Report report;
     bool all_ok = true;
     for (uint32_t conns : {1'000u, 10'000u}) {
         if (conns > max_conns)
@@ -145,40 +141,23 @@ main(int argc, char** argv)
                 r.ok ? "" : "  ** FAIL **"));
             if (!r.ok)
                 bench::note("    violation: " + r.first_violation);
+            std::string p = strfmt("%s_%u.", r.mode, r.conns);
+            report.real(p + "conns_per_sec", r.conns_per_sec, "1/s");
+            report.real(p + "goodput_gbps", r.goodput_gbps, "Gbps");
+            report.real(p + "per_conn_mbps", r.per_conn_mbps, "Mbps");
+            report.real(p + "sim_ms", r.sim_sec * 1e3, "ms");
+            report.hash(p + "flow_hash", r.flow_hash);
+            report.real(p + "wall_sec", r.wall_sec, "s",
+                        bench::Gate::None);
         }
         bench::note(strfmt("%5u conns: per-flow digests %s", conns,
                            digests_match ? "identical (fld == cpu)"
                                          : "DIVERGE  ** FAIL **"));
-        results.push_back(fld);
-        results.push_back(cpu);
     }
-
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fastpath\",\n  \"points\": [");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const PointResult& r = results[i];
-        std::fprintf(
-            f,
-            "%s\n    {\"conns\": %u, \"mode\": \"%s\", "
-            "\"conns_per_sec\": %.0f, \"goodput_gbps\": %.4f, "
-            "\"per_conn_mbps\": %.4f, \"sim_ms\": %.3f, "
-            "\"wall_sec\": %.3f, \"flow_hash\": \"%016" PRIx64 "\", "
-            "\"ok\": %s}",
-            i ? "," : "", r.conns, r.mode, r.conns_per_sec,
-            r.goodput_gbps, r.per_conn_mbps, r.sim_sec * 1e3,
-            r.wall_sec, r.flow_hash, r.ok ? "true" : "false");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    bench::note("wrote " + out);
 
     if (!all_ok) {
         std::fprintf(stderr, "bench_fastpath: oracle FAILURE\n");
         return 1;
     }
-    return 0;
+    return bench::finish(report, out, baseline);
 }

@@ -164,10 +164,12 @@ run_trace_smoke(const std::string& path)
 int
 main(int argc, char** argv)
 {
-    std::string trace_path = bench::parse_trace_option(argc, argv);
+    std::string trace_path;
+    uint64_t jobs = 1;
+    bench::parse_flags(argc, argv,
+                       {{"trace", trace_path}, {"jobs", jobs}});
     if (!trace_path.empty())
         return run_trace_smoke(trace_path);
-    unsigned jobs = bench::parse_jobs_option(argc, argv);
 
     bench::banner("Figure 7b: echo throughput vs packet size",
                   "FlexDriver §8.1.1-8.1.2");
@@ -184,7 +186,8 @@ main(int argc, char** argv)
     // Each row builds independent testbeds, so rows can sweep in
     // parallel (--jobs=N); results land in size order either way.
     auto rows = bench::parallel_rows(
-        sizes.size(), jobs, [&](size_t i) -> std::vector<std::string> {
+        sizes.size(), unsigned(jobs),
+        [&](size_t i) -> std::vector<std::string> {
             size_t size = sizes[i];
             double fld_remote = run_fld_echo(true, size);
             double fld_local = run_fld_echo(false, size);

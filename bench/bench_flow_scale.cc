@@ -15,18 +15,19 @@
  *   - whether the point still fits the XCKU15P together with the
  *     paper-config FLD driver state.
  *
- * Results go to BENCH_FLOW_SCALE.json (override with --out=PATH) so
- * CI can archive and trend them. --max-flows=N skips larger points
- * (CI runs the 100k point; the 1M point is the local/Release target,
- * < 60 s). The exit code is non-zero on any oracle violation or
- * model divergence, so this binary doubles as a conformance check.
+ * Results go to BENCH_FLOW_SCALE.json (override with --out=PATH) as a
+ * bench::Report; --baseline=PATH fails the run when a simulated row
+ * differs from bench/baselines/BENCH_FLOW_SCALE.json. --max-flows=N
+ * skips larger points (CI runs the 100k point; the 1M point is the
+ * local/Release target, < 60 s). The exit code is non-zero on any
+ * oracle violation or model divergence, so this binary doubles as a
+ * conformance check.
  *
- * Usage: bench_flow_scale [--out=PATH] [--max-flows=N] [--events=N]
+ * Usage: bench_flow_scale [--out=PATH] [--baseline=PATH] [--max-flows=N]
  */
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,6 @@ struct PointSpec
 
 struct PointResult
 {
-    PointSpec spec;
     size_t live = 0;
     double churn_ops_per_sec = 0;
     double record_ops_per_sec = 0;
@@ -73,7 +73,6 @@ PointResult
 run_point(const PointSpec& spec, uint64_t steady_events)
 {
     PointResult r;
-    r.spec = spec;
 
     apps::ChurnHarnessConfig cfg;
     cfg.churn.tenants = spec.tenants;
@@ -148,17 +147,12 @@ run_point(const PointSpec& spec, uint64_t steady_events)
 int
 main(int argc, char** argv)
 {
-    std::string out = "BENCH_FLOW_SCALE.json";
+    std::string out = "BENCH_FLOW_SCALE.json", baseline;
     uint64_t max_flows = 1'048'576;
-    uint64_t events = 0; // 0 = per-point default
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--max-flows=", 12) == 0)
-            max_flows = std::strtoull(argv[i] + 12, nullptr, 0);
-        else if (std::strncmp(argv[i], "--events=", 9) == 0)
-            events = std::strtoull(argv[i] + 9, nullptr, 0);
-    }
+    bench::parse_flags(argc, argv,
+                       {{"out", out},
+                        {"baseline", baseline},
+                        {"max-flows", max_flows}});
 
     bench::banner("Flow-directory scaling",
                   "extension: million-flow control plane");
@@ -170,17 +164,14 @@ main(int argc, char** argv)
         {1'048'576, 256, 3'640} // ~932k live
     };
 
-    std::vector<PointResult> results;
+    bench::Report report;
     bool all_ok = true;
     for (const PointSpec& p : points) {
         if (p.flows > max_flows)
             continue;
-        uint64_t n = events ? events
-                            : std::min<uint64_t>(
-                                  std::max<uint64_t>(p.flows, 200'000),
-                                  2'000'000);
+        uint64_t n = std::min<uint64_t>(
+            std::max<uint64_t>(p.flows, 200'000), 2'000'000);
         PointResult r = run_point(p, n);
-        results.push_back(r);
         all_ok = all_ok && r.ok;
         bench::note(strfmt(
             "%8" PRIu64 " flows: churn %7.2f Mops/s, record %7.2f "
@@ -193,37 +184,22 @@ main(int argc, char** argv)
             r.ok ? "" : "  ** FAIL **"));
         if (!r.ok)
             bench::note("    violation: " + r.first_violation);
+        std::string f = strfmt("flows_%" PRIu64 ".", p.flows);
+        report.count(f + "live", r.live, "flows");
+        report.count(f + "resident_bytes", r.resident_bytes, "B");
+        report.real(f + "model_bytes", r.model_bytes, "B");
+        report.real(f + "model_delta_pct", r.model_delta_pct, "%");
+        report.real(f + "churn_ops_per_sec", r.churn_ops_per_sec, "1/s",
+                    bench::Gate::None);
+        report.real(f + "record_ops_per_sec", r.record_ops_per_sec,
+                    "1/s", bench::Gate::None);
+        report.real(f + "lookup_ns", r.lookup_ns, "ns", bench::Gate::None);
     }
-
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"flow_scale\",\n  \"points\": [");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const PointResult& r = results[i];
-        std::fprintf(
-            f,
-            "%s\n    {\"flows\": %" PRIu64 ", \"tenants\": %u, "
-            "\"live\": %zu, \"churn_ops_per_sec\": %.0f, "
-            "\"record_ops_per_sec\": %.0f, \"lookup_ns\": %.2f, "
-            "\"resident_bytes\": %" PRIu64 ", \"model_bytes\": %.0f, "
-            "\"model_delta_pct\": %.3f, \"fits_on_chip\": %s, "
-            "\"ok\": %s}",
-            i ? "," : "", r.spec.flows, r.spec.tenants, r.live,
-            r.churn_ops_per_sec, r.record_ops_per_sec, r.lookup_ns,
-            r.resident_bytes, r.model_bytes, r.model_delta_pct,
-            r.fits_on_chip ? "true" : "false", r.ok ? "true" : "false");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    bench::note("wrote " + out);
 
     if (!all_ok) {
         std::fprintf(stderr,
                      "bench_flow_scale: oracle/model FAILURE\n");
         return 1;
     }
-    return 0;
+    return bench::finish(report, out, baseline);
 }

@@ -8,16 +8,16 @@
  * — the program NicDevice steers with — and times lookups over one
  * pre-extracted field stream. Matching conformance is checked by
  * tests (pipeline_match_test's shadow matcher, flow_table_test), not
- * here.
+ * here; the run only fails (exit 1) when no lookup of a point matched,
+ * which would mean it timed a loop that does no work.
  *
- * Results go to BENCH_PIPELINE.json (override with --out=PATH) so CI
- * can archive and trend them.
+ * Results go to BENCH_PIPELINE.json (override with --out=PATH) as a
+ * bench::Report of wall-clock rows, archived by CI and never compared.
  *
- * Usage: bench_pipeline [--out=PATH] [--fields=N] [--seconds=S]
+ * Usage: bench_pipeline [--out=PATH]
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -90,10 +90,14 @@ make_stream(uint32_t n, uint32_t rules, fld::Rng& rng)
     return fields;
 }
 
+/** Pre-extracted fields per stream, and the time budget per point. */
+constexpr uint32_t kFields = 20'000;
+constexpr double kSeconds = 0.25;
+
 struct PointResult
 {
-    uint32_t rules = 0;
-    double rate = 0; ///< lookups per second
+    double rate = 0;     ///< lookups per second
+    uint64_t matched = 0; ///< lookups that resolved to a rule
 };
 
 double
@@ -105,28 +109,23 @@ elapsed_sec(std::chrono::steady_clock::time_point t0)
 }
 
 PointResult
-run_point(uint32_t rules, uint32_t nfields, double seconds)
+run_point(uint32_t rules)
 {
     PointResult r;
-    r.rules = rules;
     fld::Rng rng(0xbe9c + rules);
     FlowTables flows = make_ruleset(rules, rng);
     Pipeline pipe(Pipeline::config_from(flows));
-    std::vector<FlowFields> stream = make_stream(nfields, rules, rng);
+    std::vector<FlowFields> stream = make_stream(kFields, rules, rng);
 
     // Repeat full passes until the time budget is spent.
-    uint64_t sink = 0, lookups = 0;
+    uint64_t lookups = 0;
     auto t0 = std::chrono::steady_clock::now();
     do {
         for (const FlowFields& f : stream)
-            sink += pipe.lookup(0, f) != nullptr;
+            r.matched += pipe.lookup(0, f) != nullptr;
         lookups += stream.size();
-    } while (elapsed_sec(t0) < seconds);
-    double sec = elapsed_sec(t0);
-
-    if (sink == 0) // keep the loop honest without volatile
-        std::fprintf(stderr, "no lookup ever matched\n");
-    r.rate = double(lookups) / sec;
+    } while (elapsed_sec(t0) < kSeconds);
+    r.rate = double(lookups) / elapsed_sec(t0);
     return r;
 }
 
@@ -136,43 +135,25 @@ int
 main(int argc, char** argv)
 {
     std::string out = "BENCH_PIPELINE.json";
-    uint32_t nfields = 20'000;
-    double seconds = 0.25;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--fields=", 9) == 0)
-            nfields = uint32_t(std::strtoul(argv[i] + 9, nullptr, 0));
-        else if (std::strncmp(argv[i], "--seconds=", 10) == 0)
-            seconds = std::strtod(argv[i] + 10, nullptr);
-    }
+    bench::parse_flags(argc, argv, {{"out", out}});
 
     bench::banner("Compiled pipeline lookup",
                   "flat program lookups over an eSwitch ruleset");
 
-    std::vector<PointResult> results;
+    bench::Report report;
+    bool all_matched = true;
     for (uint32_t rules : {4u, 16u, 64u, 256u}) {
-        PointResult r = run_point(rules, nfields, seconds);
-        results.push_back(r);
-        bench::note(
-            strfmt("%4u rules: %7.2f Mlookups/s", rules, r.rate / 1e6));
+        PointResult r = run_point(rules);
+        all_matched = all_matched && r.matched > 0;
+        bench::note(strfmt("%4u rules: %7.2f Mlookups/s%s", rules,
+                           r.rate / 1e6,
+                           r.matched ? "" : "  ** no lookup matched **"));
+        report.real(strfmt("rules_%u.lookups_per_sec", rules), r.rate,
+                    "1/s", bench::Gate::None);
     }
-
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
+    if (!all_matched) {
+        std::fprintf(stderr, "bench_pipeline: no lookup ever matched\n");
         return 1;
     }
-    std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n  \"points\": [");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const PointResult& r = results[i];
-        std::fprintf(f,
-                     "%s\n    {\"rules\": %u, "
-                     "\"compiled_lookups_per_sec\": %.0f}",
-                     i ? "," : "", r.rules, r.rate);
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    bench::note("wrote " + out);
-    return 0;
+    return bench::finish(report, out, "");
 }

@@ -22,9 +22,10 @@
  * per-request digest map, or when a repeated run is not bit-identical
  * (state_hash). One point also runs under targeted wire loss to pin
  * the fault-overlap behavior. Results go to BENCH_RPC.json
- * (--out=PATH) so CI can archive and trend them.
+ * (--out=PATH) as a bench::Report; --baseline=PATH fails the run when
+ * a simulated row differs from bench/baselines/BENCH_RPC.json.
  *
- * Usage: bench_rpc [--out=PATH] [--max-conns=N]
+ * Usage: bench_rpc [--out=PATH] [--baseline=PATH] [--max-conns=N]
  */
 #include <chrono>
 #include <cinttypes>
@@ -139,15 +140,12 @@ print_point(const PointResult& r)
 int
 main(int argc, char** argv)
 {
-    std::string out = "BENCH_RPC.json";
-    uint32_t max_conns = 10'000;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--max-conns=", 12) == 0)
-            max_conns = uint32_t(
-                std::strtoul(argv[i] + 12, nullptr, 0));
-    }
+    std::string out = "BENCH_RPC.json", baseline;
+    uint64_t max_conns = 10'000;
+    bench::parse_flags(argc, argv,
+                       {{"out", out},
+                        {"baseline", baseline},
+                        {"max-conns", max_conns}});
 
     bench::banner("RPC application tier SLO",
                   "extension: accel-backed RPC over the host fast "
@@ -215,40 +213,25 @@ main(int argc, char** argv)
         all_ok = all_ok && identical;
     }
 
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"rpc\",\n  \"slo_p99_us\": %.0f,\n"
-                 "  \"points\": [",
-                 kSloP99Us);
-    for (size_t i = 0; i < results.size(); ++i) {
-        const PointResult& r = results[i];
-        std::fprintf(
-            f,
-            "%s\n    {\"conns\": %u, \"think_us\": %u, "
-            "\"mode\": \"%s\", \"faulty\": %s, "
-            "\"req_per_sec\": %.0f, \"goodput_gbps\": %.4f, "
-            "\"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
-            "\"mean_us\": %.2f, \"slo_met\": %s, "
-            "\"digest_hash\": \"%016" PRIx64 "\", "
-            "\"state_hash\": \"%016" PRIx64 "\", "
-            "\"sim_ms\": %.3f, \"wall_sec\": %.3f, \"ok\": %s}",
-            i ? "," : "", r.conns, r.think_us, r.mode,
-            r.faulty ? "true" : "false", r.req_per_sec,
-            r.goodput_gbps, r.p50_us, r.p99_us, r.p999_us, r.mean_us,
-            r.slo_met ? "true" : "false", r.digest_hash, r.state_hash,
-            r.sim_sec * 1e3, r.wall_sec, r.ok ? "true" : "false");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    bench::note("wrote " + out);
-
     if (!all_ok) {
         std::fprintf(stderr, "bench_rpc: oracle FAILURE\n");
         return 1;
     }
-    return 0;
+
+    bench::Report report;
+    for (const PointResult& r : results) {
+        std::string p = strfmt("%s_%u_think%u%s.", r.mode, r.conns,
+                               r.think_us, r.faulty ? "_faults" : "");
+        report.real(p + "req_per_sec", r.req_per_sec, "1/s");
+        report.real(p + "goodput_gbps", r.goodput_gbps, "Gbps");
+        report.real(p + "p50_us", r.p50_us, "us");
+        report.real(p + "p99_us", r.p99_us, "us");
+        report.real(p + "p999_us", r.p999_us, "us");
+        report.real(p + "mean_us", r.mean_us, "us");
+        report.hash(p + "digest_hash", r.digest_hash);
+        report.hash(p + "state_hash", r.state_hash);
+        report.real(p + "sim_ms", r.sim_sec * 1e3, "ms");
+        report.real(p + "wall_sec", r.wall_sec, "s", bench::Gate::None);
+    }
+    return bench::finish(report, out, baseline);
 }

@@ -3,9 +3,8 @@
  * Simulator-throughput telemetry: measures how fast the discrete-event
  * engine executes the paper's echo-throughput scenarios plus two
  * scheduler-stress points (a 10k-connection fast-path storm and a
- * million-event timer churn) and writes the samples to
- * BENCH_SIM_PERF.json so CI can archive simulator-speed numbers per
- * commit.
+ * million-event timer churn) and writes them to BENCH_SIM_PERF.json as
+ * a bench::Report.
  *
  * This intentionally measures the *simulator*, not the simulated
  * hardware: the Gbps tables live in bench_figure7b; this file answers
@@ -13,26 +12,25 @@
  * Per-sample wheel telemetry (bucket occupancy, cascades) shows how
  * the timing-wheel engine is spending its time.
  *
- * Compare mode: --baseline=PATH reads a previously written
- * BENCH_SIM_PERF.json and FAILS (exit 1) when any sample's events/sec
- * drops more than 20% below the baseline — the CI perf-smoke gate.
- * The fastpath_10k point also exits 1 when the harness oracles trip,
- * before any JSON is written.
+ * Each sample's engine counters (events, packets, simulated time,
+ * wheel stats) are exact rows: --baseline=PATH fails (exit 1) when any
+ * differs from bench/baselines/BENCH_SIM_PERF.json, which catches an
+ * engine or model change that moves the event stream — the CI
+ * perf-smoke gate. Host seconds and events/sec are written but never
+ * compared: they depend on the machine. The fastpath_10k point also
+ * exits 1 when the harness oracles trip, before any JSON is written.
  *
- * Usage: bench_sim_perf [--out=PATH] [--baseline=PATH] [--quick]
+ * Usage: bench_sim_perf [--out=PATH] [--baseline=PATH]
  */
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "apps/fastpath_harness.h"
 #include "apps/scenarios.h"
 #include "bench/bench_util.h"
-#include "sim/sim_perf.h"
 #include "util/rng.h"
 
 using namespace fld;
@@ -43,9 +41,39 @@ namespace {
 constexpr sim::TimePs kWarmup = sim::milliseconds(1);
 constexpr sim::TimePs kDuration = sim::milliseconds(4);
 
+using WheelStats = sim::EventQueue::WheelStats;
+
+/** One timed run: host seconds around it and the engine's counters. */
+struct Sample
+{
+    std::string name;      ///< e.g. "fld_echo_remote_256B"
+    double wall_sec = 0;   ///< host seconds spent inside the run
+    uint64_t events = 0;   ///< engine events executed during the run
+    uint64_t packets = 0;  ///< packets delivered during the run
+    sim::TimePs sim_time = 0; ///< simulated time the run advanced
+    /** Wheel counters over the run; none where a harness owns the
+     *  queue. */
+    std::optional<WheelStats> wheel;
+};
+
+/** @p eq's wheel counters since @p start (max_bucket: lifetime max). */
+WheelStats
+wheel_since(const sim::EventQueue& eq, const WheelStats& start)
+{
+    const WheelStats& end = eq.wheel_stats();
+    WheelStats w;
+    w.bucket_drains = end.bucket_drains - start.bucket_drains;
+    w.drained_events = end.drained_events - start.drained_events;
+    w.max_bucket = end.max_bucket;
+    w.cascades = end.cascades - start.cascades;
+    w.cascaded_events = end.cascaded_events - start.cascaded_events;
+    w.overflow_filed = end.overflow_filed - start.overflow_filed;
+    return w;
+}
+
 /** Run one echo scenario to completion, sampling engine telemetry. */
 template <class MakeScenario>
-sim::SimPerfSample
+Sample
 sample_echo(const std::string& name, MakeScenario&& make,
             const PktGenConfig& g)
 {
@@ -54,18 +82,18 @@ sample_echo(const std::string& name, MakeScenario&& make,
     auto& eq = s->tb->eq;
     uint64_t events0 = eq.executed_total();
     sim::TimePs sim0 = eq.now();
-    sim::EventQueue::WheelStats wheel0 = eq.wheel_stats();
+    WheelStats wheel0 = eq.wheel_stats();
     auto t0 = std::chrono::steady_clock::now();
     eq.run();
     auto t1 = std::chrono::steady_clock::now();
 
-    sim::SimPerfSample out;
+    Sample out;
     out.name = name;
     out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
     out.events = eq.executed_total() - events0;
     out.packets = s->gen->rx_meter().packets();
     out.sim_time = eq.now() - sim0;
-    out.take_wheel_stats(eq, wheel0);
+    out.wheel = wheel_since(eq, wheel0);
     return out;
 }
 
@@ -75,7 +103,7 @@ sample_echo(const std::string& name, MakeScenario&& make,
  * concurrent per-connection RTO timers plus the full NIC/PCIe event
  * plumbing — the timer-heavy counterpoint to the echo points.
  */
-sim::SimPerfSample
+Sample
 sample_fastpath(const std::string& name, uint32_t conns)
 {
     FastPathHarnessConfig cfg;
@@ -99,7 +127,7 @@ sample_fastpath(const std::string& name, uint32_t conns)
         std::exit(1);
     }
 
-    sim::SimPerfSample out;
+    Sample out;
     out.name = name;
     out.wall_sec = r.run_wall_sec;
     out.events = r.events;
@@ -115,7 +143,7 @@ sample_fastpath(const std::string& name, uint32_t conns)
  * a pending set big enough to spread across wheel levels (the
  * million-flow control plane's timer load, distilled).
  */
-sim::SimPerfSample
+Sample
 sample_timer_churn(const std::string& name, uint32_t population,
                    uint64_t total_events)
 {
@@ -148,51 +176,45 @@ sample_timer_churn(const std::string& name, uint32_t population,
                             Flow{eq, rng, fired, total_events});
 
     uint64_t events0 = eq.executed_total();
-    sim::EventQueue::WheelStats wheel0 = eq.wheel_stats();
+    WheelStats wheel0 = eq.wheel_stats();
     auto t0 = std::chrono::steady_clock::now();
     for (Flow& f : flows)
         f.arm();
     eq.run();
     auto t1 = std::chrono::steady_clock::now();
 
-    sim::SimPerfSample out;
+    Sample out;
     out.name = name;
     out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
     out.events = eq.executed_total() - events0;
-    out.packets = 0;
     out.sim_time = eq.now();
-    out.take_wheel_stats(eq, wheel0);
+    out.wheel = wheel_since(eq, wheel0);
     return out;
 }
 
-/**
- * Minimal reader for the BENCH_SIM_PERF.json this binary writes:
- * returns name -> events_per_sec. Not a general JSON parser — it
- * scans for the two keys the gate needs.
- */
-std::map<std::string, double>
-read_baseline(const std::string& path)
+/** Add @p s to the report: engine counters as exact rows, host time
+ *  as ungated ones. */
+void
+add_rows(bench::Report& report, const Sample& s)
 {
-    std::map<std::string, double> out;
-    std::ifstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return out;
+    std::string p = s.name + ".";
+    report.count(p + "events", s.events, "events");
+    report.count(p + "packets", s.packets, "packets");
+    report.real(p + "sim_sec", sim::to_sec(s.sim_time), "s");
+    if (s.wheel) {
+        report.count(p + "bucket_drains", s.wheel->bucket_drains);
+        report.real(p + "avg_bucket", s.wheel->avg_bucket_occupancy(),
+                    "events");
+        report.count(p + "max_bucket", s.wheel->max_bucket, "events");
+        report.count(p + "cascades", s.wheel->cascades);
+        report.count(p + "cascaded_events", s.wheel->cascaded_events,
+                     "events");
+        report.count(p + "overflow_filed", s.wheel->overflow_filed,
+                     "events");
     }
-    std::string line;
-    while (std::getline(f, line)) {
-        size_t n = line.find("\"name\": \"");
-        if (n == std::string::npos)
-            continue;
-        n += 9;
-        size_t e = line.find('"', n);
-        std::string name = line.substr(n, e - n);
-        size_t v = line.find("\"events_per_sec\": ");
-        if (v == std::string::npos)
-            continue;
-        out[name] = std::atof(line.c_str() + v + 18);
-    }
-    return out;
+    report.real(p + "wall_sec", s.wall_sec, "s", bench::Gate::None);
+    report.real(p + "events_per_sec", double(s.events) / s.wall_sec,
+                "1/s", bench::Gate::None);
 }
 
 } // namespace
@@ -200,18 +222,9 @@ read_baseline(const std::string& path)
 int
 main(int argc, char** argv)
 {
-    std::string out_path = "BENCH_SIM_PERF.json";
-    std::string baseline_path;
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--out=", 0) == 0)
-            out_path = a.substr(6);
-        else if (a.rfind("--baseline=", 0) == 0)
-            baseline_path = a.substr(11);
-        else if (a == "--quick")
-            quick = true;
-    }
+    std::string out = "BENCH_SIM_PERF.json", baseline;
+    bench::parse_flags(argc, argv,
+                       {{"out", out}, {"baseline", baseline}});
 
     bench::banner("Simulator throughput (events/sec, packets/sec)",
                   "engine telemetry");
@@ -223,69 +236,36 @@ main(int argc, char** argv)
         return make_cpu_echo(true, g);
     };
 
-    sim::SimPerfReport report;
-    report.add(sample_echo("fld_echo_remote_64B", fld_echo,
-                           bench::open_loop_gen(64)));
-    report.add(sample_echo("fld_echo_remote_256B", fld_echo,
-                           bench::open_loop_gen(256)));
-    report.add(sample_echo("fld_echo_remote_1500B", fld_echo,
-                           bench::open_loop_gen(1500)));
-    report.add(sample_echo("cpu_echo_remote_256B", cpu_echo,
-                           bench::open_loop_gen(256)));
-    report.add(sample_echo("fld_echo_imc_mix", fld_echo,
-                           bench::imc_mix_gen()));
-    if (!quick) {
-        report.add(sample_fastpath("fastpath_10k", 10000));
-        report.add(sample_timer_churn("churn_1M", 100000, 1000000));
-    }
+    const std::vector<Sample> samples = {
+        sample_echo("fld_echo_remote_64B", fld_echo,
+                    bench::open_loop_gen(64)),
+        sample_echo("fld_echo_remote_256B", fld_echo,
+                    bench::open_loop_gen(256)),
+        sample_echo("fld_echo_remote_1500B", fld_echo,
+                    bench::open_loop_gen(1500)),
+        sample_echo("cpu_echo_remote_256B", cpu_echo,
+                    bench::open_loop_gen(256)),
+        sample_echo("fld_echo_imc_mix", fld_echo, bench::imc_mix_gen()),
+        sample_fastpath("fastpath_10k", 10000),
+        sample_timer_churn("churn_1M", 100000, 1000000),
+    };
 
+    bench::Report report;
     TextTable t;
     t.header({"Scenario", "events/s", "pkts/s", "sim/wall", "wall s",
               "avg bkt", "cascades"});
-    for (const sim::SimPerfSample& s : report.samples()) {
-        t.row({s.name, strfmt("%.2fM", s.events_per_sec() / 1e6),
-               strfmt("%.2fM", s.packets_per_sec() / 1e6),
-               strfmt("%.4f", s.sim_time_ratio()),
+    for (const Sample& s : samples) {
+        add_rows(report, s);
+        t.row({s.name, strfmt("%.2fM", s.events / s.wall_sec / 1e6),
+               strfmt("%.2fM", s.packets / s.wall_sec / 1e6),
+               strfmt("%.4f", sim::to_sec(s.sim_time) / s.wall_sec),
                strfmt("%.3f", s.wall_sec),
-               strfmt("%.1f", s.wheel.avg_bucket_occupancy()),
-               strfmt("%llu",
-                      (unsigned long long)s.wheel.cascades)});
+               s.wheel ? strfmt("%.1f", s.wheel->avg_bucket_occupancy())
+                       : "-",
+               s.wheel ? strfmt("%llu",
+                                (unsigned long long)s.wheel->cascades)
+                       : "-"});
     }
     t.print();
-
-    if (!report.write_json(out_path)) {
-        std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-        return 1;
-    }
-    bench::note("wrote " + out_path);
-
-    if (!baseline_path.empty()) {
-        std::map<std::string, double> base =
-            read_baseline(baseline_path);
-        if (base.empty()) {
-            std::fprintf(stderr,
-                         "baseline %s empty or unreadable\n",
-                         baseline_path.c_str());
-            return 1;
-        }
-        int regressions = 0;
-        for (const sim::SimPerfSample& s : report.samples()) {
-            auto it = base.find(s.name);
-            if (it == base.end())
-                continue; // new sample: no baseline yet
-            double floor = it->second * 0.8; // >20% drop fails
-            if (s.events_per_sec() < floor) {
-                std::fprintf(stderr,
-                             "REGRESSION %s: %.0f events/s < 80%% of "
-                             "baseline %.0f\n",
-                             s.name.c_str(), s.events_per_sec(),
-                             it->second);
-                ++regressions;
-            }
-        }
-        if (regressions)
-            return 1;
-        bench::note("no events/sec regression vs " + baseline_path);
-    }
-    return 0;
+    return bench::finish(report, out, baseline);
 }

@@ -3,7 +3,8 @@
  * Shared helpers for the paper-reproduction bench binaries. Each
  * binary regenerates one table or figure of the paper; outputs print
  * the paper's reported value next to the reproduced one wherever the
- * paper gives a number.
+ * paper gives a number. The extension benches also share one flag
+ * parser and one JSON report with a baseline gate (Report, finish()).
  */
 #ifndef FLD_BENCH_BENCH_UTIL_H
 #define FLD_BENCH_BENCH_UTIL_H
@@ -11,7 +12,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,40 +40,225 @@ note(const std::string& text)
     std::printf("  %s\n", text.c_str());
 }
 
-/**
- * Parse the `--trace=<path>` knob shared by the bench binaries.
- * Returns the export path, or an empty string when tracing was not
- * requested on the command line.
- */
-inline std::string
-parse_trace_option(int argc, char** argv)
+/** One `--name=value` command-line flag bound to a bench variable. */
+struct Flag
 {
-    const std::string prefix = "--trace=";
+    Flag(const char* name, std::string& text) : name(name), text(&text)
+    {}
+    Flag(const char* name, uint64_t& number)
+        : name(name), number(&number)
+    {}
+
+    const char* name;
+    std::string* text = nullptr;
+    uint64_t* number = nullptr; ///< parsed with parse_u64
+};
+
+/**
+ * Parse every argument as one of @p flags. An unknown flag or a number
+ * parse_u64 rejects prints the usage line and exits 2, so a typo never
+ * runs an empty or different sweep.
+ */
+inline void
+parse_flags(int argc, char** argv, std::initializer_list<Flag> flags)
+{
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind(prefix, 0) == 0)
-            return arg.substr(prefix.size());
+        const Flag* hit = nullptr;
+        const char* value = nullptr;
+        for (const Flag& f : flags) {
+            std::string prefix = std::string("--") + f.name + "=";
+            if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
+                hit = &f;
+                value = argv[i] + prefix.size();
+            }
+        }
+        if (hit && hit->text) {
+            *hit->text = value;
+            continue;
+        }
+        if (hit && parse_u64(value, *hit->number))
+            continue;
+        std::fprintf(stderr, "%s: %s\nusage: %s", hit ? "bad number"
+                                                     : "unknown option",
+                     argv[i], argv[0]);
+        for (const Flag& f : flags)
+            std::fprintf(stderr, " [--%s=%s]", f.name,
+                         f.text ? "PATH" : "N");
+        std::fprintf(stderr, "\n");
+        std::exit(2);
     }
-    return {};
+}
+
+// ---------------------------------------------------------------------
+// Bench reports: one row per named quantity, written as JSON with one
+// row per line (so the baseline reader is a line scan) and compared
+// against a committed baseline by finish().
+// ---------------------------------------------------------------------
+
+/** How finish() checks a row against a baseline. */
+enum class Gate
+{
+    Exact, ///< simulated quantity or hash: any difference fails
+    None,  ///< wall-clock quantity: written, never compared
+};
+
+struct Row
+{
+    std::string name; ///< no `"` or `\`: written unescaped
+    std::string value; ///< %.17g double, decimal count or 0x hex hash
+    std::string unit;
+    Gate gate = Gate::Exact;
+};
+
+class Report
+{
+  public:
+    /** A double, printed with %.17g so it reads back bit-exact. */
+    void real(const std::string& name, double v, const std::string& unit,
+              Gate gate = Gate::Exact)
+    {
+        rows_.push_back({name, strfmt("%.17g", v), unit, gate});
+    }
+    /** A simulated count. */
+    void count(const std::string& name, uint64_t v,
+               const std::string& unit = "count")
+    {
+        rows_.push_back({name, std::to_string(v), unit, Gate::Exact});
+    }
+    /** A 64-bit digest, in hex. */
+    void hash(const std::string& name, uint64_t h)
+    {
+        rows_.push_back({name, strfmt("0x%016llx", (unsigned long long)h),
+                         "hash", Gate::Exact});
+    }
+
+    const std::vector<Row>& rows() const { return rows_; }
+
+  private:
+    std::vector<Row> rows_;
+};
+
+/** Read the rows of a report file finish() wrote. False when the file
+ *  cannot be read or a row line is malformed. */
+inline bool
+read_report(const std::string& path, std::vector<Row>& rows)
+{
+    std::ifstream f(path);
+    if (!f)
+        return false;
+    auto field = [](const std::string& line, const char* key,
+                    std::string& out) {
+        std::string tag = std::string("\"") + key + "\": \"";
+        size_t b = line.find(tag);
+        if (b == std::string::npos)
+            return false;
+        b += tag.size();
+        size_t e = line.find('"', b);
+        if (e == std::string::npos)
+            return false;
+        out = line.substr(b, e - b);
+        return true;
+    };
+    std::string line, gate;
+    while (std::getline(f, line)) {
+        if (line.find("\"name\"") == std::string::npos)
+            continue;
+        Row r;
+        if (!field(line, "name", r.name) ||
+            !field(line, "value", r.value) ||
+            !field(line, "unit", r.unit) || !field(line, "gate", gate) ||
+            (gate != "exact" && gate != "none"))
+            return false;
+        r.gate = gate == "exact" ? Gate::Exact : Gate::None;
+        rows.push_back(std::move(r));
+    }
+    return true;
+}
+
+struct Comparison
+{
+    std::vector<std::string> failures; ///< one line per failing row
+    std::vector<std::string> not_run;  ///< baseline rows this run lacks
+};
+
+/**
+ * Compare a run's rows against a baseline's. An `exact` run row fails
+ * when its value differs from the baseline's or the baseline lacks it,
+ * and a run with no `exact` row fails as a whole; `none` rows are never
+ * compared. Baseline rows the run did not produce (a smaller sweep) are
+ * listed as not run.
+ */
+inline Comparison
+compare(const std::vector<Row>& run, const std::vector<Row>& baseline)
+{
+    Comparison c;
+    std::map<std::string, const Row*> base;
+    std::set<std::string> ran;
+    bool any_exact = false;
+    for (const Row& b : baseline)
+        base[b.name] = &b;
+    for (const Row& r : run) {
+        ran.insert(r.name);
+        if (r.gate != Gate::Exact)
+            continue;
+        any_exact = true;
+        auto it = base.find(r.name);
+        if (it == base.end())
+            c.failures.push_back(r.name + ": missing from the baseline");
+        else if (it->second->value != r.value)
+            c.failures.push_back(r.name + ": " + r.value +
+                                 " != baseline " + it->second->value);
+    }
+    if (!any_exact)
+        c.failures.push_back("the run produced no exact rows");
+    for (const Row& b : baseline)
+        if (!ran.count(b.name))
+            c.not_run.push_back(b.name);
+    return c;
 }
 
 /**
- * Parse the `--jobs=N` knob shared by the sweep benches. Returns 1
- * (serial) when not given.
+ * Write @p report to @p out as {"rows": [...]}, one row object per
+ * line, and, when @p baseline is set, compare it (see compare()).
+ * Returns the bench's exit code: 0, or 1 when the file cannot be
+ * written or read or an exact row fails, naming the row.
  */
-inline unsigned
-parse_jobs_option(int argc, char** argv)
+inline int
+finish(const Report& report, const std::string& out,
+       const std::string& baseline)
 {
-    const std::string prefix = "--jobs=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind(prefix, 0) == 0) {
-            unsigned long v = std::strtoul(
-                arg.c_str() + prefix.size(), nullptr, 0);
-            return v < 1 ? 1u : unsigned(v);
-        }
+    std::ofstream f(out);
+    f << "{\n  \"rows\": [";
+    for (size_t i = 0; i < report.rows().size(); ++i) {
+        const Row& r = report.rows()[i];
+        f << (i ? ",\n" : "\n") << "    {\"name\": \"" << r.name
+          << "\", \"value\": \"" << r.value << "\", \"unit\": \"" << r.unit
+          << "\", \"gate\": \"" << (r.gate == Gate::Exact ? "exact" : "none")
+          << "\"}";
     }
-    return 1;
+    f << "\n  ]\n}\n";
+    if (!f.flush()) {
+        std::fprintf(stderr, "cannot write %s\n", out.c_str());
+        return 1;
+    }
+    note("wrote " + out);
+    if (baseline.empty())
+        return 0;
+    std::vector<Row> base;
+    if (!read_report(baseline, base)) {
+        std::fprintf(stderr, "cannot read baseline %s\n",
+                     baseline.c_str());
+        return 1;
+    }
+    Comparison c = compare(report.rows(), base);
+    for (const std::string& name : c.not_run)
+        note("not run: " + name);
+    for (const std::string& why : c.failures)
+        std::fprintf(stderr, "BASELINE MISMATCH %s\n", why.c_str());
+    if (!c.failures.empty())
+        return 1;
+    note("every exact row matches " + baseline);
+    return 0;
 }
 
 /**

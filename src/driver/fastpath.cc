@@ -525,7 +525,7 @@ FastPath::emit(net::Packet&& frame)
     driver_backlog_.push_back(std::move(frame));
     if (!retry_armed_) {
         retry_armed_ = true;
-        eq_.schedule_in(cfg_.tx_retry_delay,
+        eq_.schedule_in(kTxRetryDelay,
                         [this] { drain_driver_backlog(); });
     }
 }
@@ -538,7 +538,7 @@ FastPath::drain_driver_backlog()
         if (!tx_ || !tx_(std::move(driver_backlog_.front()))) {
             if (!retry_armed_) {
                 retry_armed_ = true;
-                eq_.schedule_in(cfg_.tx_retry_delay,
+                eq_.schedule_in(kTxRetryDelay,
                                 [this] { drain_driver_backlog(); });
             }
             return;
@@ -633,7 +633,7 @@ FastPath::enter_closed(Connection& c)
     // Time-wait: keep the demux entry so a peer retransmitting its
     // FIN (our final ACK may have been lost) still gets re-ACKed.
     uint32_t id = c.id_;
-    sim::TimePs linger = c.cfg_.rto * cfg_.time_wait_rtos;
+    sim::TimePs linger = c.cfg_.rto * kTimeWaitRtos;
     eq_.schedule_in(linger, [this, id] {
         Connection* conn = find(id);
         if (conn && conn->state_ == ConnState::Closed)

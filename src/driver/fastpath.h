@@ -333,16 +333,17 @@ struct FastPathConfig
     ConnConfig conn;
     /** Bytes per RX-ring slot buffer (>= conn.mss). */
     uint32_t slot_bytes = 2048;
-    /** Retry cadence when the driver refuses a frame (ring full /
-     *  no FLD credits). */
-    sim::TimePs tx_retry_delay = sim::microseconds(5);
-    /** Linger in Closed (time-wait) before freeing connection state,
-     *  so a peer retransmitting its FIN still gets re-ACKed. Scaled
-     *  on top of the connection's rto. */
-    uint32_t time_wait_rtos = 4;
     /** Answer ARP requests for our own IP (a real host does). */
     bool arp_responder = true;
 };
+
+/** Retry cadence when the driver refuses a frame (ring full / no FLD
+ *  credits). */
+constexpr sim::TimePs kTxRetryDelay = sim::microseconds(5);
+/** Linger in Closed (time-wait) before freeing connection state, so a
+ *  peer retransmitting its FIN still gets re-ACKed. Scaled on top of
+ *  the connection's rto. */
+constexpr uint32_t kTimeWaitRtos = 4;
 
 struct FastPathStats
 {

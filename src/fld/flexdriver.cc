@@ -41,9 +41,9 @@ FlexDriver::FlexDriver(std::string name, sim::EventQueue& eq,
     if (cfg.flow_capacity > 0) {
         flows_ = std::make_unique<FlowDirectory>(FlowDirectoryConfig{
             .flow_capacity = cfg.flow_capacity,
-            .shards = cfg.flow_shards,
+            .shards = kFlowShards,
             .tenants = cfg.flow_tenants,
-            .sketch_enabled = cfg.flow_sketch});
+            .sketch_enabled = kFlowSketch});
         flows_->attach_budget(budget_);
     }
 }

@@ -65,10 +65,13 @@ struct FldConfig
      *  default: flow state is the runtime's business unless the
      *  deployment asks FLD to track it on-die). */
     uint64_t flow_capacity = 0;
-    uint32_t flow_shards = 0;   ///< 0 = auto (see FlowDirectoryConfig)
     uint32_t flow_tenants = 64;
-    bool flow_sketch = true;    ///< heavy-hitter telemetry
 };
+
+/** Flow-directory shards: 0 = auto (see FlowDirectoryConfig). */
+constexpr uint32_t kFlowShards = 0;
+/** The flow directory keeps heavy-hitter telemetry. */
+constexpr bool kFlowSketch = true;
 
 /** Errors FLD reports to the control plane (§5.3, error handling). */
 struct FldError

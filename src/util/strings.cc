@@ -1,7 +1,10 @@
 #include "util/strings.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace fld {
 
@@ -77,6 +80,16 @@ hex(const uint8_t* data, size_t len)
         out.push_back(digits[data[i] & 0xf]);
     }
     return out;
+}
+
+bool
+parse_u64(const char* v, uint64_t& out)
+{
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtoull(v, &end, 0);
+    return std::isdigit((unsigned char)v[0]) && *end == '\0' &&
+           errno == 0;
 }
 
 } // namespace fld

@@ -1,6 +1,7 @@
 /**
  * @file
- * String formatting helpers shared by benches and reports.
+ * String formatting and parsing helpers shared by benches, tools and
+ * reports.
  */
 #ifndef FLD_UTIL_STRINGS_H
 #define FLD_UTIL_STRINGS_H
@@ -29,6 +30,10 @@ std::vector<std::string> split(const std::string& s, char sep);
 
 /** Hex dump of a byte range, for debugging and tests. */
 std::string hex(const uint8_t* data, size_t len);
+
+/** Parse a whole-string unsigned number (decimal, 0x hex or 0 octal)
+ *  into @p out; false on a sign, trailing text or overflow. */
+bool parse_u64(const char* v, uint64_t& out);
 
 } // namespace fld
 

@@ -259,7 +259,7 @@ TEST(FastPathConn, RstDuringTimeWaitIgnored)
     ASSERT_EQ(p.client.conn(c)->state(), ConnState::Established);
 
     // Active close: the client lingers in Closed (time-wait) for
-    // rto * time_wait_rtos before the slot is freed. Stop the clock
+    // rto * kTimeWaitRtos before the slot is freed. Stop the clock
     // inside that window.
     p.client.close(c);
     p.eq.run_until(p.eq.now() + sim::microseconds(50));

@@ -52,5 +52,17 @@ TEST(Strings, Hex)
     EXPECT_EQ(hex(data, 0), "");
 }
 
+TEST(Strings, ParseU64AcceptsOnlyAWholeNumber)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parse_u64("10000", v));
+    EXPECT_EQ(v, 10000u);
+    EXPECT_TRUE(parse_u64("0xffffffffffffffff", v));
+    EXPECT_EQ(v, ~0ull);
+    for (const char* bad : {"", "abc", "1e5", "1O0", "-1", " 1", "12s",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parse_u64(bad, v)) << bad;
+}
+
 } // namespace
 } // namespace fld

@@ -33,7 +33,6 @@
  * than one dimension flag).
  */
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -75,17 +74,6 @@ usage()
                  "dimensions (at most one):\n");
     for (const apps::FuzzDimension& d : apps::fuzz_dimensions())
         std::fprintf(stderr, "  --%s=N\n      %s\n", d.name, d.help);
-}
-
-/** Whole-string unsigned number (decimal, 0x hex or 0 octal). */
-bool
-parse_u64(const char* v, uint64_t& out)
-{
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoull(v, &end, 0);
-    return std::isdigit((unsigned char)v[0]) && *end == '\0' &&
-           errno == 0;
 }
 
 /** Seconds, with an optional trailing `s`. */
