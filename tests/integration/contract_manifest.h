@@ -216,6 +216,32 @@ constexpr std::array<std::array<ServePin, 2>, kServeCases>
           {0x86fd11ae27ddfe18, 0xc7517103755859e2}}},
     }};
 
+/** FLD-R runs the pins below cover, in table row order: 1 KiB echo
+ *  messages posted open loop, remote and local, and ZUC requests from
+ *  a verifying CryptoPerfClient, remote. */
+enum class FldrCase : uint8_t {
+    EchoRemote,
+    EchoLocal,
+    ZucRemote,
+};
+constexpr int kFldrCases = 3;
+
+/** One FLD-R run: sim::fnv1a64_str of its causal trace digest, plus
+ *  the end time and executed event count, which the digest omits. */
+struct FldrPin
+{
+    uint64_t trace_hash;
+    uint64_t end_ps;
+    uint64_t events;
+};
+
+/** Rows in FldrCase order. */
+constexpr std::array<FldrPin, kFldrCases> kFldrPin = {{
+    {0xfad512e13362b482, 0xb61f8e0f, 0x1db95},
+    {0xfe2abaf50eb46dc0, 0xb612de86, 0x17fab},
+    {0x273ba704c38fc5d6, 0x3ef79591, 0xb93f},
+}};
+
 /** ChurnReport::state_hash of the reference churn run. */
 constexpr uint64_t kChurnStateHash = 0xc69426c2f2e0d1cd;
 /** HeavyHitterSketch::state_hash of the reference update stream. */

@@ -16,6 +16,9 @@
  *  - The serving harnesses' state_hash and flow/digest hash for both
  *    app pairs, FLD- and CPU-served, with ARP pre-seeded, ARP
  *    resolved and targeted wire faults.
+ *  - FLD-R runs through the host RDMA client: 1 KiB echo messages,
+ *    remote and local, and verified ZUC requests, remote. Each pins
+ *    its trace digest, end time and executed event count.
  *  - The churn harness and heavy-hitter sketch state hashes, and the
  *    churn state hashes of `fld_fuzz --churn` seeds 1-50.
  *
@@ -28,10 +31,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "apps/churn_harness.h"
+#include "apps/crypto_perf.h"
 #include "apps/fastpath_harness.h"
 #include "apps/fuzz_dimension.h"
 #include "apps/fuzz_runner.h"
@@ -259,6 +264,82 @@ TEST(ContractManifest, ServeHarnessHashesMatchPinned)
             expect_serve_pin("rpc", c, m, kRpcServePin[c][m], rpc.ok,
                              rpc.state_hash, rpc.digest_hash);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// FLD-R runs
+// ---------------------------------------------------------------------
+
+/** Post 1 KiB echo messages at 8 Gbps for 3 ms, long enough to wrap
+ *  the client's send ring and receive buffers; every one must come
+ *  back. */
+void
+run_fldr_echo(apps::FldrScenario& s)
+{
+    constexpr size_t kMsg = 1024;
+    sim::EventQueue& eq = s.tb->eq;
+    sim::TimePs end = eq.now() + sim::milliseconds(3);
+    sim::TimePs gap = sim::serialize_time(kMsg, 8.0);
+    uint32_t sent = 0, received = 0;
+    s.client->set_msg_handler(
+        [&](uint32_t, std::vector<uint8_t>&& msg) {
+            EXPECT_EQ(msg.size(), kMsg);
+            ++received;
+        });
+    std::function<void()> tick = [&] {
+        if (eq.now() >= end)
+            return;
+        ++sent;
+        s.client->post_send(std::vector<uint8_t>(kMsg, uint8_t(sent)),
+                            sent);
+        eq.schedule_in(gap, tick);
+    };
+    tick();
+    eq.run();
+    EXPECT_GT(sent, 2900u);
+    EXPECT_EQ(received, sent);
+}
+
+FldrPin
+fldr_pin(FldrCase c)
+{
+    sim::Tracer tr;
+    tr.install();
+    std::unique_ptr<apps::FldrScenario> s;
+    if (c == FldrCase::ZucRemote) {
+        s = apps::make_fldr_zuc(true);
+        apps::CryptoPerfConfig cfg;
+        cfg.request_payload = 512;
+        cfg.window = 8;
+        cfg.verify = true;
+        apps::CryptoPerfClient perf(s->tb->eq, *s->client, cfg);
+        perf.start(sim::microseconds(20), sim::milliseconds(1));
+        s->tb->eq.run();
+        EXPECT_GT(perf.verified_ok(), 500u);
+        EXPECT_EQ(perf.verified_bad(), 0u);
+    } else {
+        s = apps::make_fldr_echo(c == FldrCase::EchoRemote);
+        run_fldr_echo(*s);
+    }
+    tr.uninstall();
+    return {sim::fnv1a64_str(tr.digest()), s->tb->eq.now(),
+            s->tb->eq.executed_total()};
+}
+
+TEST(ContractManifest, FldrRunsMatchPinned)
+{
+    static const char* const kCases[kFldrCases] = {
+        "fldr echo remote", "fldr echo local", "fldr zuc remote"};
+    for (int c = 0; c < kFldrCases; ++c) {
+        FldrPin got = fldr_pin(FldrCase(c));
+        std::string what = kCases[c];
+        expect_pinned((what + " trace").c_str(), kFldrPin[c].trace_hash,
+                      got.trace_hash);
+        expect_pinned((what + " end_ps").c_str(), kFldrPin[c].end_ps,
+                      got.end_ps);
+        expect_pinned((what + " events").c_str(), kFldrPin[c].events,
+                      got.events);
     }
 }
 
