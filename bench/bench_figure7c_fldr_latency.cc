@@ -4,6 +4,13 @@
  * and remote, sweeping offered load. Paper: ~9.4 us median local /
  * ~10.6 us remote at low load, queueing blow-up near ~82% of the
  * maximum bandwidth.
+ *
+ * Every point (local/remote x offered load) writes exact rows for its
+ * achieved Gbps, median and p99 latency to BENCH_FIGURE7C.json
+ * (--out=PATH) as a bench::Report; --baseline=PATH fails the run when
+ * one differs from bench/baselines/BENCH_FIGURE7C.json.
+ *
+ * Usage: bench_figure7c_fldr_latency [--out=PATH] [--baseline=PATH]
  */
 #include "apps/scenarios.h"
 #include "bench/bench_util.h"
@@ -70,13 +77,18 @@ run_point(bool remote, double offered_gbps)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    std::string out = "BENCH_FIGURE7C.json", baseline;
+    bench::parse_flags(argc, argv, {{"out", out}, {"baseline", baseline}});
+
     bench::banner("Figure 7c: FLD-R latency vs load (1 KiB messages)",
                   "FlexDriver §8.1.2");
 
+    bench::Report report;
     for (bool remote : {false, true}) {
-        std::printf("\n-- %s --\n", remote ? "remote" : "local");
+        const char* where = remote ? "remote" : "local";
+        std::printf("\n-- %s --\n", where);
         TextTable t;
         t.header({"Offered Gbps", "Achieved Gbps", "Median us",
                   "p99 us"});
@@ -87,11 +99,15 @@ main()
                    format_gbps(p.achieved_gbps),
                    strfmt("%.1f", p.median_us),
                    strfmt("%.1f", p.p99_us)});
+            std::string name = strfmt("%s_%gG.", where, offered);
+            report.real(name + "achieved_gbps", p.achieved_gbps, "Gbps");
+            report.real(name + "median_us", p.median_us, "us");
+            report.real(name + "p99_us", p.p99_us, "us");
         }
         t.print();
     }
     bench::note("paper shape: flat single-digit-us latency at low "
                 "load; queueing dominates as load approaches the "
                 "bandwidth knee (~82% of max)");
-    return 0;
+    return bench::finish(report, out, baseline);
 }
