@@ -63,10 +63,8 @@ run_with_queues(uint32_t queues)
     driver::CpuDriverConfig gcfg;
     gcfg.num_queues = 2;
     driver::CpuDriver gen_driver(
-        "client.testpmd", tb.eq, tb.fabric, tb.client_host_port,
-        tb.client_mem, tb.client_arena(32 << 20), 32 << 20,
-        *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-        tb.client_app_vport, gcfg, Testbed::kClientMemBase);
+        "client.testpmd", tb.client_side(32 << 20), tb.client_app_vport,
+        gcfg);
     tb.install_client_forwarding();
     uint32_t ctir = tb.client_nic->create_tir({{gen_driver.rqn(1)}});
     tb.client_nic->set_vport_default_tir(tb.client_app_vport, ctir);

@@ -73,11 +73,8 @@ make_fld_echo(bool remote, PktGenConfig gen_cfg, TestbedConfig tb_cfg,
         // Two queues: tx on core 0, echoes received on core 1 (real
         // testpmd generators split IO across lcores).
         s->gen_driver = std::make_unique<driver::CpuDriver>(
-            "client.testpmd", tb.eq, tb.fabric, tb.client_host_port,
-            tb.client_mem, tb.client_arena(32 << 20), 32 << 20,
-            *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-            tb.client_app_vport, echo_driver_cfg(opt, 2),
-            Testbed::kClientMemBase);
+            "client.testpmd", tb.client_side(32 << 20), tb.client_app_vport,
+            echo_driver_cfg(opt, 2));
         tb.install_client_forwarding();
         uint32_t tir =
             tb.client_nic->create_tir({{s->gen_driver->rqn(1)}});
@@ -102,10 +99,8 @@ make_fld_echo(bool remote, PktGenConfig gen_cfg, TestbedConfig tb_cfg,
         // switch loops traffic between the two vPorts (§8, "Setup").
         // Two queues: tx core and rx core, like a real testpmd.
         s->gen_driver = std::make_unique<driver::CpuDriver>(
-            "server.testpmd", tb.eq, tb.fabric, tb.server_host_port,
-            tb.server_mem, tb.server_arena(32 << 20), 32 << 20,
-            *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-            tb.server_app_vport, echo_driver_cfg(opt, 2));
+            "server.testpmd", tb.server_side(32 << 20), tb.server_app_vport,
+            echo_driver_cfg(opt, 2));
         uint32_t tir =
             tb.server_nic->create_tir({{s->gen_driver->rqn(1)}});
         tb.server_nic->set_vport_default_tir(tb.server_app_vport, tir);
@@ -146,10 +141,7 @@ make_cpu_echo(bool remote, PktGenConfig gen_cfg, TestbedConfig tb_cfg,
 
     // Echo (testpmd) on the server host.
     s->echo_driver = std::make_unique<driver::CpuDriver>(
-        "server.testpmd", tb.eq, tb.fabric, tb.server_host_port,
-        tb.server_mem, tb.server_arena(32 << 20), 32 << 20,
-        *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-        tb.server_app_vport,
+        "server.testpmd", tb.server_side(32 << 20), tb.server_app_vport,
         echo_driver_cfg(opt, std::max(1u, opt.echo_queues)));
     uint32_t stir =
         tb.server_nic->create_tir({s->echo_driver->all_rqns()});
@@ -162,11 +154,8 @@ make_cpu_echo(bool remote, PktGenConfig gen_cfg, TestbedConfig tb_cfg,
 
     if (remote) {
         s->gen_driver = std::make_unique<driver::CpuDriver>(
-            "client.testpmd", tb.eq, tb.fabric, tb.client_host_port,
-            tb.client_mem, tb.client_arena(32 << 20), 32 << 20,
-            *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-            tb.client_app_vport, echo_driver_cfg(opt, 2),
-            Testbed::kClientMemBase);
+            "client.testpmd", tb.client_side(32 << 20), tb.client_app_vport,
+            echo_driver_cfg(opt, 2));
         tb.install_client_forwarding();
         uint32_t ctir =
             tb.client_nic->create_tir({{s->gen_driver->rqn(1)}});
@@ -191,10 +180,7 @@ make_cpu_echo(bool remote, PktGenConfig gen_cfg, TestbedConfig tb_cfg,
         // client==server host generator through loopback.
         nic::VportId gen_vport = tb.server_nic->add_vport();
         s->gen_driver = std::make_unique<driver::CpuDriver>(
-            "server.gen", tb.eq, tb.fabric, tb.server_host_port,
-            tb.server_mem, tb.server_arena(32 << 20), 32 << 20,
-            *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-            gen_vport,
+            "server.gen", tb.server_side(32 << 20), gen_vport,
             [] {
                 driver::CpuDriverConfig c;
                 c.num_queues = 1;
@@ -244,13 +230,9 @@ make_fldr_base(bool remote, TestbedConfig tb_cfg)
 
     s->qp = tb.rt->create_fld_qp(tb.fld_vport, 0, /*rx_buffers=*/16);
 
-    driver::RdmaClientConfig ccfg;
     if (remote) {
         s->client = std::make_unique<driver::RdmaClient>(
-            "client.rdma", tb.eq, tb.fabric, tb.client_host_port,
-            tb.client_mem, tb.client_arena(96 << 20), 96 << 20,
-            *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-            tb.client_app_vport, ccfg, Testbed::kClientMemBase);
+            "client.rdma", tb.client_side(96 << 20), tb.client_app_vport);
         tb.install_client_forwarding();
         // RoCE plumbing on the server.
         tb.route_vport_to_uplink(*tb.server_nic, tb.fld_vport);
@@ -261,10 +243,7 @@ make_fldr_base(bool remote, TestbedConfig tb_cfg)
     } else {
         // Local: client QP on the server host, loopback via eSwitch.
         s->client = std::make_unique<driver::RdmaClient>(
-            "server.rdma", tb.eq, tb.fabric, tb.server_host_port,
-            tb.server_mem, tb.server_arena(96 << 20), 96 << 20,
-            *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-            tb.server_app_vport, ccfg);
+            "server.rdma", tb.server_side(96 << 20), tb.server_app_vport);
         nic::FlowMatch from_host;
         from_host.in_vport = tb.server_app_vport;
         s->tb->server_nic->add_rule(0, 0, from_host,
@@ -327,10 +306,7 @@ make_defrag(const DefragOptions& opt, TestbedConfig tb_cfg)
     rcfg.rq_entries = 128;
     rcfg.rx_buffers = 32;
     s->server_driver = std::make_unique<driver::CpuDriver>(
-        "server.app", tb.eq, tb.fabric, tb.server_host_port,
-        tb.server_mem, tb.server_arena(96 << 20), 96 << 20,
-        *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-        tb.server_app_vport, rcfg);
+        "server.app", tb.server_side(96 << 20), tb.server_app_vport, rcfg);
     driver::SwStackConfig scfg;
     scfg.software_defrag = !opt.hw_defrag;
     s->stack = std::make_unique<driver::SoftwareReceiveStack>(
@@ -340,11 +316,8 @@ make_defrag(const DefragOptions& opt, TestbedConfig tb_cfg)
 
     // Sender on the client node.
     s->sender_driver = std::make_unique<driver::CpuDriver>(
-        "client.iperf", tb.eq, tb.fabric, tb.client_host_port,
-        tb.client_mem, tb.client_arena(64 << 20), 64 << 20,
-        *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-        tb.client_app_vport, gen_driver_cfg(4),
-        Testbed::kClientMemBase);
+        "client.iperf", tb.client_side(64 << 20), tb.client_app_vport,
+        gen_driver_cfg(4));
     tb.install_client_forwarding();
 
     IperfConfig icfg;
@@ -430,10 +403,7 @@ make_iot(const IotOptions& opt, TestbedConfig tb_cfg)
     driver::CpuDriverConfig rcfg;
     rcfg.num_queues = 4;
     s->server_driver = std::make_unique<driver::CpuDriver>(
-        "server.app", tb.eq, tb.fabric, tb.server_host_port,
-        tb.server_mem, tb.server_arena(64 << 20), 64 << 20,
-        *tb.server_nic, Testbed::kServerNicBar, tb.server_host,
-        tb.server_app_vport, rcfg);
+        "server.app", tb.server_side(64 << 20), tb.server_app_vport, rcfg);
     uint32_t app_tir =
         tb.server_nic->create_tir({s->server_driver->all_rqns()});
     s->server_driver->set_rx_handler(
@@ -445,11 +415,8 @@ make_iot(const IotOptions& opt, TestbedConfig tb_cfg)
 
     // Client: TRex generator.
     s->gen_driver = std::make_unique<driver::CpuDriver>(
-        "client.trex", tb.eq, tb.fabric, tb.client_host_port,
-        tb.client_mem, tb.client_arena(64 << 20), 64 << 20,
-        *tb.client_nic, Testbed::kClientNicBar, tb.client_host,
-        tb.client_app_vport, gen_driver_cfg(2),
-        Testbed::kClientMemBase);
+        "client.trex", tb.client_side(64 << 20), tb.client_app_vport,
+        gen_driver_cfg(2));
     tb.install_client_forwarding();
 
     TrexConfig tcfg;

@@ -175,10 +175,8 @@ ServeHarness::ServeHarness(const ServeConfig& cfg)
 
     // ----- client node: CpuDriver + FastPath ---------------------
     client_drv_ = std::make_unique<driver::CpuDriver>(
-        "client.app", tb_.eq, tb_.fabric, tb_.client_host_port,
-        tb_.client_mem, tb_.client_arena(32 << 20), 32 << 20,
-        *tb_.client_nic, Testbed::kClientNicBar, tb_.client_host,
-        tb_.client_app_vport, one_queue_cfg(), Testbed::kClientMemBase);
+        "client.app", tb_.client_side(32 << 20), tb_.client_app_vport,
+        one_queue_cfg());
     tb_.install_client_forwarding();
     client_fp_ = std::make_unique<driver::FastPath>(
         tb_.eq, driver::FastPathConfig{.mac = kClientMac, .ip = kClientIp,
@@ -207,10 +205,8 @@ ServeHarness::ServeHarness(const ServeConfig& cfg)
         tb_.route_vport_to_uplink(*tb_.server_nic, tb_.fld_vport);
     } else {
         server_drv_ = std::make_unique<driver::CpuDriver>(
-            "server.app", tb_.eq, tb_.fabric, tb_.server_host_port,
-            tb_.server_mem, tb_.server_arena(32 << 20), 32 << 20,
-            *tb_.server_nic, Testbed::kServerNicBar, tb_.server_host,
-            tb_.server_app_vport, one_queue_cfg());
+            "server.app", tb_.server_side(32 << 20), tb_.server_app_vport,
+            one_queue_cfg());
         attach(*tb_.server_nic, tb_.server_app_vport, *server_drv_,
                *server_fp_);
         tb_.route_uplink_to_vport(*tb_.server_nic, tb_.server_app_vport);

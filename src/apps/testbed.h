@@ -12,7 +12,7 @@
 
 #include <memory>
 
-#include "driver/host.h"
+#include "driver/host_rings.h"
 #include "fld/flexdriver.h"
 #include "nic/nic.h"
 #include "nic/wire.h"
@@ -101,12 +101,12 @@ class Testbed
     nic::VportId client_app_vport = 0;
 
     /**
-     * Host-memory bump allocators for driver arenas. Offsets are
-     * relative to the node's memory endpoint; add kServerMemBase /
-     * kClientMemBase when handing addresses to a DMA engine.
+     * The server (client) node as a host driver attaches to it, with
+     * a fresh @p arena_bytes slice of the node's memory. client_side
+     * needs a remote testbed.
      */
-    uint64_t server_arena(uint64_t size);
-    uint64_t client_arena(uint64_t size);
+    driver::HostAttach server_side(uint64_t arena_bytes);
+    driver::HostAttach client_side(uint64_t arena_bytes);
 
     /** Default FDB plumbing used by most experiments:
      *  - client NIC: app vport <-> uplink both ways;
@@ -120,6 +120,10 @@ class Testbed
                                int priority = 0);
 
   private:
+    /** Bump allocators for the nodes' memory, as offsets into it. */
+    uint64_t server_arena(uint64_t size);
+    uint64_t client_arena(uint64_t size);
+
     uint64_t server_arena_next_;
     uint64_t client_arena_next_;
 };

@@ -1,10 +1,6 @@
 #include "driver/cpu_driver.h"
 
-#include <cstring>
-
 #include "sim/trace.h"
-#include "util/bitops.h"
-#include "util/logging.h"
 
 namespace fld::driver {
 
@@ -12,121 +8,39 @@ namespace {
 constexpr uint32_t kTxSlotBytes = 2048; ///< per-WQE payload slot
 } // namespace
 
-CpuDriver::CpuDriver(std::string name, sim::EventQueue& eq,
-                     pcie::PcieFabric& fabric, pcie::PortId host_port,
-                     pcie::MemoryEndpoint& hostmem, uint64_t arena_base,
-                     uint64_t arena_size, nic::NicDevice& nic,
-                     uint64_t nic_bar_base, HostNode& host,
-                     nic::VportId vport, CpuDriverConfig cfg,
-                     uint64_t mem_dma_base)
-    : name_(std::move(name)), eq_(eq), fabric_(fabric),
-      host_port_(host_port), hostmem_(hostmem),
-      arena_next_(arena_base), arena_end_(arena_base + arena_size),
-      dma_base_(mem_dma_base), nic_(nic),
-      nic_bar_base_(nic_bar_base), host_(host), vport_(vport),
-      cfg_(cfg)
+CpuDriver::CpuDriver(std::string name, const HostAttach& at,
+                     nic::VportId vport, CpuDriverConfig cfg)
+    : rings_(std::move(name), at,
+             [this](const nic::Cqe& cqe) { handle_cqe(cqe); }),
+      cfg_(cfg), unsignaled_(cfg.num_queues, 0)
 {
-    // One shared completion queue, polled by the driver.
-    uint64_t cq_ring =
-        alloc(uint64_t(cfg_.cq_entries) * nic::kCqeStride);
-    cqn_ = nic_.create_cq({dma_base_ + cq_ring, cfg_.cq_entries});
-    hostmem_.add_watch(
-        cq_ring, uint64_t(cfg_.cq_entries) * nic::kCqeStride,
-        [this](uint64_t addr, size_t len) {
-            if (len != nic::kCqeStride)
-                return;
-            uint8_t buf[nic::kCqeStride];
-            hostmem_.bar_read(addr, buf, nic::kCqeStride);
-            handle_cqe(nic::Cqe::decode(buf));
-        });
-
-    queues_.resize(cfg_.num_queues);
-    for (uint32_t q = 0; q < cfg_.num_queues; ++q) {
-        Queue& qu = queues_[q];
-        qu.core = cfg_.first_core + q;
-
-        qu.sq_ring = alloc(uint64_t(cfg_.sq_entries) * nic::kWqeStride);
-        qu.sqn = nic_.create_sq({dma_base_ + qu.sq_ring,
-                                 cfg_.sq_entries, cqn_, vport_, 0.0});
-        qu.data_arena =
-            alloc(uint64_t(cfg_.sq_entries) * kTxSlotBytes, 4096);
-
-        qu.rq_ring =
-            alloc(uint64_t(cfg_.rq_entries) * nic::kRxDescStride);
-        qu.rqn = nic_.create_rq(
-            {dma_base_ + qu.rq_ring, cfg_.rq_entries, cqn_});
-
-        // Post the receive buffers. Ring slot i permanently maps to
-        // buffer i % rx_buffers; the driver recycles in order.
-        uint32_t buf_bytes = uint32_t(cfg_.rx_strides)
-                             << cfg_.rx_stride_shift;
-        for (uint32_t i = 0; i < cfg_.rx_buffers; ++i)
-            qu.rx_buffers.push_back(alloc(buf_bytes, 4096));
-        for (uint32_t i = 0; i < cfg_.rq_entries; ++i) {
-            nic::RxDesc d;
-            d.addr = dma_base_ + qu.rx_buffers[i % cfg_.rx_buffers];
-            d.byte_count = buf_bytes;
-            d.stride_count = cfg_.rx_strides;
-            d.stride_shift = cfg_.rx_stride_shift;
-            uint8_t enc[nic::kRxDescStride];
-            d.encode(enc);
-            std::memcpy(
-                hostmem_.raw(qu.rq_ring +
-                                 uint64_t(i) * nic::kRxDescStride,
-                             nic::kRxDescStride),
-                enc, nic::kRxDescStride);
-        }
-        qu.rq_pi = cfg_.rx_buffers;
-        qu.rq_pi_published = qu.rq_pi;
-        uint8_t db[4];
-        store_le32(db, qu.rq_pi);
-        fabric_.write(host_port_,
-                      nic_bar_base_ + nic::NicDevice::kRqDbBase +
-                          uint64_t(qu.rqn) * 8,
-                      db, sizeof db);
-    }
-}
-
-uint64_t
-CpuDriver::alloc(uint64_t size, uint64_t align)
-{
-    arena_next_ = (arena_next_ + align - 1) & ~(align - 1);
-    uint64_t addr = arena_next_;
-    arena_next_ += size;
-    if (arena_next_ > arena_end_)
-        fatal("%s: host arena exhausted", name_.c_str());
-    return addr;
+    for (uint32_t q = 0; q < cfg_.num_queues; ++q)
+        rings_.add_queue(vport, cfg_, kTxSlotBytes);
 }
 
 std::vector<uint32_t>
 CpuDriver::all_rqns() const
 {
     std::vector<uint32_t> out;
-    for (const auto& q : queues_)
-        out.push_back(q.rqn);
+    for (uint32_t q = 0; q < cfg_.num_queues; ++q)
+        out.push_back(rings_.rqn(q));
     return out;
 }
 
 bool
 CpuDriver::send(uint32_t q, net::Packet&& frame)
 {
-    Queue& qu = queues_[q];
-    if (qu.tx_outstanding.size() >= cfg_.sq_entries - 1) {
+    if (rings_.full(q)) {
         stats_.tx_backpressured++;
         return false;
     }
-    if (frame.size() > kTxSlotBytes)
-        fatal("%s: frame larger than tx slot", name_.c_str());
-
-    uint16_t wqe_index = uint16_t(qu.sq_pi);
-    uint32_t slot = qu.sq_pi % cfg_.sq_entries;
-    qu.sq_pi++;
-    qu.unsignaled++;
-    bool signal = qu.unsignaled >= cfg_.signal_interval ||
-                  qu.tx_outstanding.empty();
+    // Selective signalling: every signal_interval-th WQE, and any WQE
+    // posted to an idle ring, asks for a completion.
+    bool idle = rings_.outstanding(q) == 0;
+    uint16_t wqe_index = rings_.reserve(q, frame.size());
+    bool signal = ++unsignaled_[q] >= cfg_.signal_interval || idle;
     if (signal)
-        qu.unsignaled = 0;
-    qu.tx_outstanding.push_back(wqe_index);
+        unsignaled_[q] = 0;
 
     stats_.tx_packets++;
     stats_.tx_bytes += frame.size();
@@ -138,115 +52,41 @@ CpuDriver::send(uint32_t q, net::Packet&& frame)
     }
 
     // The driver's per-packet CPU work (descriptor write + doorbell).
-    host_.run_on_core(
-        qu.core, host_.packet_cost(frame.size(), /*tx=*/true),
-        [this, q, slot, wqe_index, signal,
-         frame = std::move(frame)]() mutable {
-            Queue& qu2 = queues_[q];
-            uint64_t data = qu2.data_arena +
-                            uint64_t(slot) * kTxSlotBytes;
-            // Intentional copy: stages the frame into DMA-visible
-            // host memory, the data movement a real driver performs.
-            std::memcpy(hostmem_.raw(data, frame.size()),
-                        frame.bytes(), frame.size());
-
+    HostNode& host = rings_.node().host;
+    host.run_on_core(
+        core_of(q), host.packet_cost(frame.size(), /*tx=*/true),
+        [this, q, wqe_index, signal, frame = std::move(frame)] {
             nic::Wqe wqe;
             wqe.opcode = nic::WqeOpcode::EthSend;
             wqe.signaled = signal;
-            wqe.wqe_index = wqe_index;
-            wqe.addr = dma_base_ + data;
-            wqe.byte_count = uint32_t(frame.size());
             wqe.flow_tag = frame.meta.flow_tag;
             wqe.next_table = frame.meta.next_table;
             wqe.corr = frame.meta.corr;
-            uint8_t enc[nic::kWqeStride];
-            wqe.encode(enc);
-            std::memcpy(hostmem_.raw(qu2.sq_ring +
-                                         uint64_t(slot) *
-                                             nic::kWqeStride,
-                                     nic::kWqeStride),
-                        enc, nic::kWqeStride);
-            // The doorbell must only advertise WQEs already visible
-            // in memory; ring writes retire in order on this core.
-            qu2.sq_published++;
-            // WQE-by-MMIO for lone posts (latency optimization, §6).
-            bool lone = cfg_.wqe_by_mmio &&
-                        qu2.tx_outstanding.size() == 1 &&
-                        qu2.sq_published == qu2.sq_pi;
-            ring_sq_doorbell(q, lone ? enc : nullptr);
+            rings_.post(q, wqe_index, wqe, frame.bytes(), frame.size(),
+                        cfg_.wqe_by_mmio);
         });
     return true;
-}
-
-void
-CpuDriver::ring_sq_doorbell(uint32_t q, const uint8_t* inline_wqe)
-{
-    Queue& qu = queues_[q];
-    if (qu.db_inflight) {
-        qu.db_dirty = true;
-        return;
-    }
-    qu.db_inflight = true;
-    uint8_t db[4 + nic::kWqeStride];
-    size_t db_len = inline_wqe ? 4 + nic::kWqeStride : 4;
-    store_le32(db, qu.sq_published);
-    if (inline_wqe)
-        std::memcpy(db + 4, inline_wqe, nic::kWqeStride);
-    fabric_.write(host_port_,
-                  nic_bar_base_ + nic::NicDevice::kSqDbBase +
-                      uint64_t(qu.sqn) * 8,
-                  db, db_len, [this, q] {
-                      Queue& qu2 = queues_[q];
-                      qu2.db_inflight = false;
-                      if (qu2.db_dirty) {
-                          qu2.db_dirty = false;
-                          ring_sq_doorbell(q);
-                      }
-                  });
 }
 
 void
 CpuDriver::handle_cqe(const nic::Cqe& cqe)
 {
     if (cqe.opcode == nic::CqeOpcode::TxOk) {
-        for (uint32_t q = 0; q < queues_.size(); ++q) {
-            if (queues_[q].sqn != cqe.qpn)
-                continue;
-            Queue& qu = queues_[q];
-            while (!qu.tx_outstanding.empty()) {
-                int16_t delta =
-                    int16_t(cqe.wqe_counter - qu.tx_outstanding.front());
-                if (delta < 0)
-                    break;
-                qu.tx_outstanding.pop_front();
-                if (delta == 0)
-                    break;
-            }
-            return;
-        }
-        return;
-    }
-    if (cqe.opcode == nic::CqeOpcode::Rx) {
-        for (uint32_t q = 0; q < queues_.size(); ++q) {
-            if (queues_[q].rqn == cqe.qpn) {
-                handle_rx(q, cqe);
-                return;
-            }
-        }
+        if (int q = rings_.find_sq(cqe.qpn); q >= 0)
+            rings_.complete_tx(uint32_t(q), cqe.wqe_counter);
+    } else if (cqe.opcode == nic::CqeOpcode::Rx) {
+        if (int q = rings_.find_rq(cqe.qpn); q >= 0)
+            handle_rx(uint32_t(q), cqe);
     }
 }
 
 void
 CpuDriver::handle_rx(uint32_t q, const nic::Cqe& cqe)
 {
-    Queue& qu = queues_[q];
-    uint64_t buf = qu.rx_buffers[cqe.rq_wqe_index % cfg_.rx_buffers];
-    uint64_t addr =
-        buf + (uint64_t(cqe.stride_index) << cfg_.rx_stride_shift);
-
+    const HostAttach& at = rings_.node();
     net::Packet pkt;
     pkt.data.resize(cqe.byte_count);
-    hostmem_.bar_read(addr, pkt.bytes(), cqe.byte_count);
+    at.mem.bar_read(rings_.rx_addr(q, cqe), pkt.bytes(), cqe.byte_count);
     pkt.meta.flow_tag = cqe.flow_tag;
     pkt.meta.rss_hash = cqe.rss_hash;
     pkt.meta.l3_csum_ok = cqe.flags & nic::kCqeL3Ok;
@@ -254,24 +94,11 @@ CpuDriver::handle_rx(uint32_t q, const nic::Cqe& cqe)
     pkt.meta.tunneled = cqe.flags & nic::kCqeTunneled;
     pkt.meta.queue_id = uint16_t(q);
     pkt.meta.corr = cqe.corr;
-
-    // In-order buffer recycling: the NIC moved past older buffers.
-    static_assert(sizeof(cqe.rq_wqe_index) == 2, "wrap math");
-    uint16_t last = uint16_t(qu.rq_pi - cfg_.rx_buffers);
-    uint16_t delta = uint16_t(cqe.rq_wqe_index - last);
-    if (delta > 0 && delta < 0x8000) {
-        qu.rq_pi += delta;
-        uint8_t db[4];
-        store_le32(db, qu.rq_pi);
-        fabric_.write(host_port_,
-                      nic_bar_base_ + nic::NicDevice::kRqDbBase +
-                          uint64_t(qu.rqn) * 8,
-                      db, sizeof db);
-    }
+    rings_.recycle_rx(q, cqe);
 
     // Overload shedding: bounded queueing toward the application.
-    if (host_.core_free_at(qu.core) >
-        eq_.now() + cfg_.max_app_backlog) {
+    if (at.host.core_free_at(core_of(q)) >
+        at.eq.now() + cfg_.max_app_backlog) {
         stats_.rx_overload_dropped++;
         return;
     }
@@ -280,12 +107,12 @@ CpuDriver::handle_rx(uint32_t q, const nic::Cqe& cqe)
     stats_.rx_bytes += pkt.size();
 
     // Driver poll loop: per-packet CPU cost before the app sees it.
-    host_.run_on_core(qu.core,
-                      host_.packet_cost(pkt.size(), /*tx=*/false),
-                      [this, q, pkt = std::move(pkt)]() mutable {
-                          if (rx_handler_)
-                              rx_handler_(q, std::move(pkt));
-                      });
+    at.host.run_on_core(core_of(q),
+                        at.host.packet_cost(pkt.size(), /*tx=*/false),
+                        [this, q, pkt = std::move(pkt)]() mutable {
+                            if (rx_handler_)
+                                rx_handler_(q, std::move(pkt));
+                        });
 }
 
 } // namespace fld::driver

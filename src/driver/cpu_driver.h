@@ -7,34 +7,27 @@
  * doorbells, MPRQ receive, selective TX completion signalling
  * (EMPW/inline disabled, matching the paper's fair-comparison setup).
  * Supports multiple queue pairs, one host core per queue, so RSS
- * experiments and single-core bottlenecks behave faithfully.
+ * experiments and single-core bottlenecks behave faithfully. The rings
+ * are HostRings; this class adds per-queue cores, selective
+ * signalling, overload shedding and packet delivery.
  */
 #ifndef FLD_DRIVER_CPU_DRIVER_H
 #define FLD_DRIVER_CPU_DRIVER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "driver/host.h"
+#include "driver/host_rings.h"
 #include "net/packet.h"
-#include "nic/nic.h"
-#include "pcie/endpoint.h"
-#include "pcie/fabric.h"
 
 namespace fld::driver {
 
-struct CpuDriverConfig
+/** Ring sizes (RingGeometry, shared by every queue) plus policy. */
+struct CpuDriverConfig : RingGeometry
 {
     uint32_t num_queues = 1;
-    uint32_t sq_entries = 1024;
-    uint32_t rq_entries = 256;
-    uint32_t cq_entries = 4096;
-    uint32_t rx_buffers = 64;       ///< MPRQ buffers per RQ
-    uint16_t rx_strides = 32;       ///< strides per buffer
-    uint16_t rx_stride_shift = 11;  ///< 2 KiB strides
     uint32_t signal_interval = 16;
     /** First host core used; queue i runs on core first_core + i. */
     uint32_t first_core = 0;
@@ -65,24 +58,18 @@ class CpuDriver
 {
   public:
     /**
-     * Creates NIC queues with rings in @p hostmem (allocated from
-     * [arena_base, arena_base+arena_size)), posts receive buffers and
-     * leaves steering to the caller (install rules / TIRs over rqn()).
+     * Creates the driver's rings on @p at's node (HostRings), posts
+     * receive buffers and leaves steering to the caller (install
+     * rules / TIRs over rqn()).
      */
-    CpuDriver(std::string name, sim::EventQueue& eq,
-              pcie::PcieFabric& fabric, pcie::PortId host_port,
-              pcie::MemoryEndpoint& hostmem, uint64_t arena_base,
-              uint64_t arena_size, nic::NicDevice& nic,
-              uint64_t nic_bar_base, HostNode& host,
-              nic::VportId vport, CpuDriverConfig cfg = {},
-              uint64_t mem_dma_base = 0);
+    CpuDriver(std::string name, const HostAttach& at, nic::VportId vport,
+              CpuDriverConfig cfg = {});
 
     uint32_t num_queues() const { return cfg_.num_queues; }
-    uint32_t core_of(uint32_t q) const { return queues_[q].core; }
-    uint32_t sqn(uint32_t q = 0) const { return queues_[q].sqn; }
-    uint32_t rqn(uint32_t q = 0) const { return queues_[q].rqn; }
+    uint32_t core_of(uint32_t q) const { return cfg_.first_core + q; }
+    uint32_t sqn(uint32_t q = 0) const { return rings_.sqn(q); }
+    uint32_t rqn(uint32_t q = 0) const { return rings_.rqn(q); }
     std::vector<uint32_t> all_rqns() const;
-    nic::VportId vport() const { return vport_; }
 
     /**
      * Transmit a frame on queue @p q: pays the driver's CPU cost on
@@ -100,54 +87,13 @@ class CpuDriver
 
     const CpuDriverStats& stats() const { return stats_; }
 
-    /** Outstanding (not yet completed) TX descriptors on queue q. */
-    size_t tx_outstanding(uint32_t q) const
-    {
-        return queues_[q].tx_outstanding.size();
-    }
-
   private:
-    struct Queue
-    {
-        uint32_t sqn = 0;
-        uint32_t rqn = 0;
-        uint64_t sq_ring = 0;
-        uint64_t rq_ring = 0;
-        uint64_t data_arena = 0;   ///< per-WQE payload slots
-        uint32_t sq_pi = 0;        ///< slots reserved by send()
-        uint32_t sq_published = 0; ///< WQEs actually written to memory
-        uint32_t rq_pi = 0;
-        uint32_t rq_pi_published = 0; ///< last PI the NIC was told
-        uint32_t unsignaled = 0;
-        std::deque<uint16_t> tx_outstanding; ///< signaled bookkeeping
-        bool db_inflight = false;
-        bool db_dirty = false;
-        std::vector<uint64_t> rx_buffers; ///< buffer base addresses
-        uint32_t core = 0;
-    };
-
-    uint64_t alloc(uint64_t size, uint64_t align = 64);
-    void ring_sq_doorbell(uint32_t q,
-                          const uint8_t* inline_wqe = nullptr);
     void handle_cqe(const nic::Cqe& cqe);
     void handle_rx(uint32_t q, const nic::Cqe& cqe);
 
-    std::string name_;
-    sim::EventQueue& eq_;
-    pcie::PcieFabric& fabric_;
-    pcie::PortId host_port_;
-    pcie::MemoryEndpoint& hostmem_;
-    uint64_t arena_next_;
-    uint64_t arena_end_;
-    uint64_t dma_base_; ///< fabric address of hostmem offset 0
-    nic::NicDevice& nic_;
-    uint64_t nic_bar_base_;
-    HostNode& host_;
-    nic::VportId vport_;
+    HostRings rings_;
     CpuDriverConfig cfg_;
-
-    uint32_t cqn_ = 0;
-    std::vector<Queue> queues_;
+    std::vector<uint32_t> unsignaled_; ///< per queue, since last signal
     RxHandler rx_handler_;
     CpuDriverStats stats_;
 };

@@ -1,107 +1,40 @@
 #include "driver/rdma_client.h"
 
-#include <cstring>
-
 #include "sim/trace.h"
-#include "util/bitops.h"
-#include "util/logging.h"
 
 namespace fld::driver {
 
-RdmaClient::RdmaClient(std::string name, sim::EventQueue& eq,
-                       pcie::PcieFabric& fabric, pcie::PortId host_port,
-                       pcie::MemoryEndpoint& hostmem,
-                       uint64_t arena_base, uint64_t arena_size,
-                       nic::NicDevice& nic, uint64_t nic_bar_base,
-                       HostNode& host, nic::VportId vport,
-                       RdmaClientConfig cfg, uint64_t mem_dma_base)
-    : name_(std::move(name)), eq_(eq), fabric_(fabric),
-      host_port_(host_port), hostmem_(hostmem),
-      arena_next_(arena_base), arena_end_(arena_base + arena_size),
-      dma_base_(mem_dma_base), nic_(nic), nic_bar_base_(nic_bar_base),
-      host_(host), cfg_(cfg)
+namespace {
+constexpr uint32_t kCore = 0;
+constexpr uint32_t kMaxMsgBytes = 64 * 1024; ///< per-WQE payload slot
+/** Verbs post/poll CPU costs (kernel-bypass path). */
+constexpr sim::TimePs kPostCost = sim::nanoseconds(60);
+constexpr sim::TimePs kPollCost = sim::nanoseconds(40);
+} // namespace
+
+RdmaClient::RdmaClient(std::string name, const HostAttach& at,
+                       nic::VportId vport)
+    : rings_(std::move(name), at,
+             [this](const nic::Cqe& cqe) { handle_cqe(cqe); })
 {
-    uint64_t cq_ring =
-        alloc(uint64_t(cfg_.cq_entries) * nic::kCqeStride);
-    cqn_ = nic_.create_cq({dma_base_ + cq_ring, cfg_.cq_entries});
-    hostmem_.add_watch(
-        cq_ring, uint64_t(cfg_.cq_entries) * nic::kCqeStride,
-        [this](uint64_t addr, size_t len) {
-            if (len != nic::kCqeStride)
-                return;
-            uint8_t buf[nic::kCqeStride];
-            hostmem_.bar_read(addr, buf, nic::kCqeStride);
-            handle_cqe(nic::Cqe::decode(buf));
-        });
-
-    sq_ring_ = alloc(uint64_t(cfg_.sq_entries) * nic::kWqeStride);
-    sqn_ = nic_.create_sq(
-        {dma_base_ + sq_ring_, cfg_.sq_entries, cqn_, vport, 0.0});
-    data_arena_ =
-        alloc(uint64_t(cfg_.sq_entries) * cfg_.max_msg_bytes, 4096);
-
-    uint64_t rq_ring =
-        alloc(uint64_t(cfg_.rq_entries) * nic::kRxDescStride);
-    rqn_ = nic_.create_rq(
-        {dma_base_ + rq_ring, cfg_.rq_entries, cqn_});
-    uint32_t buf_bytes = uint32_t(cfg_.rx_strides)
-                         << cfg_.rx_stride_shift;
-    for (uint32_t i = 0; i < cfg_.rx_buffers; ++i)
-        rx_buffers_.push_back(alloc(buf_bytes, 4096));
-    for (uint32_t i = 0; i < cfg_.rq_entries; ++i) {
-        nic::RxDesc d;
-        d.addr = dma_base_ + rx_buffers_[i % cfg_.rx_buffers];
-        d.byte_count = buf_bytes;
-        d.stride_count = cfg_.rx_strides;
-        d.stride_shift = cfg_.rx_stride_shift;
-        uint8_t enc[nic::kRxDescStride];
-        d.encode(enc);
-        std::memcpy(hostmem_.raw(rq_ring +
-                                     uint64_t(i) * nic::kRxDescStride,
-                                 nic::kRxDescStride),
-                    enc, nic::kRxDescStride);
-    }
-    rq_pi_ = cfg_.rx_buffers;
-    uint8_t db[4];
-    store_le32(db, rq_pi_);
-    fabric_.write(host_port_,
-                  nic_bar_base_ + nic::NicDevice::kRqDbBase +
-                      uint64_t(rqn_) * 8,
-                  db, sizeof db);
-
-    qpn_ = nic_.create_qp({sqn_, rqn_, vport});
-}
-
-uint64_t
-RdmaClient::alloc(uint64_t size, uint64_t align)
-{
-    arena_next_ = (arena_next_ + align - 1) & ~(align - 1);
-    uint64_t addr = arena_next_;
-    arena_next_ += size;
-    if (arena_next_ > arena_end_)
-        fatal("%s: host arena exhausted", name_.c_str());
-    return addr;
+    rings_.add_queue(vport, RingGeometry{}, kMaxMsgBytes);
+    qpn_ = at.nic.create_qp({rings_.sqn(0), rings_.rqn(0), vport});
 }
 
 void
 RdmaClient::connect(uint32_t remote_qpn, const net::MacAddr& local_mac,
                     const net::MacAddr& remote_mac)
 {
-    nic_.connect_qp(qpn_, {remote_qpn, local_mac, remote_mac});
+    rings_.node().nic.connect_qp(qpn_,
+                                 {remote_qpn, local_mac, remote_mac});
 }
 
 bool
 RdmaClient::post_send(std::vector<uint8_t> payload, uint32_t msg_id)
 {
-    if (tx_outstanding_.size() >= cfg_.sq_entries - 1)
+    if (rings_.full(0))
         return false;
-    if (payload.size() > cfg_.max_msg_bytes)
-        fatal("%s: message larger than max_msg_bytes", name_.c_str());
-
-    uint16_t wqe_index = uint16_t(sq_pi_);
-    uint32_t slot = sq_pi_ % cfg_.sq_entries;
-    sq_pi_++;
-    tx_outstanding_.emplace_back(wqe_index, msg_id);
+    uint16_t wqe_index = rings_.reserve(0, payload.size());
     messages_sent_++;
 
     // Trace correlation: tag fresh messages at their origin.
@@ -109,125 +42,51 @@ RdmaClient::post_send(std::vector<uint8_t> payload, uint32_t msg_id)
     if (auto* tr = sim::Tracer::active())
         corr = tr->next_corr();
 
-    host_.run_on_core(
-        cfg_.core, cfg_.post_cost,
-        [this, slot, wqe_index, msg_id, corr,
-         payload = std::move(payload)]() mutable {
-            uint64_t data = data_arena_ +
-                            uint64_t(slot) * cfg_.max_msg_bytes;
-            if (!payload.empty())
-                // Intentional copy: stages the message into
-                // DMA-visible host memory, as a real verbs post does.
-                std::memcpy(hostmem_.raw(data, payload.size()),
-                            payload.data(), payload.size());
-
+    rings_.node().host.run_on_core(
+        kCore, kPostCost,
+        [this, wqe_index, msg_id, corr, payload = std::move(payload)] {
             nic::Wqe wqe;
             wqe.opcode = nic::WqeOpcode::RdmaSend;
             wqe.signaled = true; // verbs clients poll per message
-            wqe.wqe_index = wqe_index;
-            wqe.addr = dma_base_ + data;
-            wqe.byte_count = uint32_t(payload.size());
             wqe.msg_id = msg_id;
             wqe.corr = corr;
-            uint8_t enc[nic::kWqeStride];
-            wqe.encode(enc);
-            std::memcpy(hostmem_.raw(sq_ring_ +
-                                         uint64_t(slot) *
-                                             nic::kWqeStride,
-                                     nic::kWqeStride),
-                        enc, nic::kWqeStride);
-            sq_published_++;
-            // WQE-by-MMIO for lone posts (latency optimization, §6).
-            bool lone = tx_outstanding_.size() == 1 &&
-                        sq_published_ == sq_pi_;
-            ring_doorbell(lone ? enc : nullptr);
+            rings_.post(0, wqe_index, wqe, payload.data(), payload.size(),
+                        /*mmio_lone=*/true);
         });
     return true;
 }
 
 void
-RdmaClient::ring_doorbell(const uint8_t* inline_wqe)
-{
-    if (db_inflight_) {
-        db_dirty_ = true;
-        return;
-    }
-    db_inflight_ = true;
-    uint8_t db[4 + nic::kWqeStride];
-    size_t db_len = inline_wqe ? 4 + nic::kWqeStride : 4;
-    store_le32(db, sq_published_);
-    if (inline_wqe)
-        std::memcpy(db + 4, inline_wqe, nic::kWqeStride);
-    fabric_.write(host_port_,
-                  nic_bar_base_ + nic::NicDevice::kSqDbBase +
-                      uint64_t(sqn_) * 8,
-                  db, db_len, [this] {
-                      db_inflight_ = false;
-                      if (db_dirty_) {
-                          db_dirty_ = false;
-                          ring_doorbell();
-                      }
-                  });
-}
-
-void
 RdmaClient::handle_cqe(const nic::Cqe& cqe)
 {
-    if (cqe.opcode == nic::CqeOpcode::TxOk && cqe.qpn == qpn_) {
-        while (!tx_outstanding_.empty()) {
-            auto [widx, msg_id] = tx_outstanding_.front();
-            int16_t delta = int16_t(cqe.wqe_counter - widx);
-            if (delta < 0)
-                break;
-            tx_outstanding_.pop_front();
-            if (send_done_) {
-                uint32_t id = msg_id;
-                host_.run_on_core(cfg_.core, cfg_.poll_cost,
-                                  [this, id] { send_done_(id); });
-            }
-            if (delta == 0)
-                break;
-        }
+    if (cqe.qpn != qpn_)
+        return;
+    if (cqe.opcode == nic::CqeOpcode::TxOk) {
+        rings_.complete_tx(0, cqe.wqe_counter);
         return;
     }
-    if (cqe.opcode != nic::CqeOpcode::Rx || cqe.qpn != qpn_)
+    if (cqe.opcode != nic::CqeOpcode::Rx)
         return;
 
     // Per-packet MPRQ completion: copy the stride into the message
     // reassembly buffer (the incremental-processing property of §6).
-    uint64_t buf = rx_buffers_[cqe.rq_wqe_index % cfg_.rx_buffers];
-    uint64_t addr =
-        buf + (uint64_t(cqe.stride_index) << cfg_.rx_stride_shift);
-
-    Reassembly& msg = rx_messages_[cqe.msg_id];
-    if (msg.data.size() < cqe.msg_offset + cqe.byte_count)
-        msg.data.resize(cqe.msg_offset + cqe.byte_count);
-    hostmem_.bar_read(addr, msg.data.data() + cqe.msg_offset,
-                      cqe.byte_count);
-    msg.received += cqe.byte_count;
-
-    // Recycle receive buffers in order.
-    uint16_t last = uint16_t(rq_pi_ - cfg_.rx_buffers);
-    uint16_t delta = uint16_t(cqe.rq_wqe_index - last);
-    if (delta > 0 && delta < 0x8000) {
-        rq_pi_ += delta;
-        uint8_t db[4];
-        store_le32(db, rq_pi_);
-        fabric_.write(host_port_,
-                      nic_bar_base_ + nic::NicDevice::kRqDbBase +
-                          uint64_t(rqn_) * 8,
-                      db, sizeof db);
-    }
+    std::vector<uint8_t>& msg = rx_messages_[cqe.msg_id];
+    if (msg.size() < cqe.msg_offset + cqe.byte_count)
+        msg.resize(cqe.msg_offset + cqe.byte_count);
+    rings_.node().mem.bar_read(rings_.rx_addr(0, cqe),
+                               msg.data() + cqe.msg_offset,
+                               cqe.byte_count);
+    rings_.recycle_rx(0, cqe);
 
     if (cqe.flags & nic::kCqeRdmaLast) {
         auto it = rx_messages_.find(cqe.msg_id);
-        std::vector<uint8_t> data = std::move(it->second.data);
+        std::vector<uint8_t> data = std::move(it->second);
         rx_messages_.erase(it);
         messages_received_++;
         if (msg_handler_) {
             uint32_t id = cqe.msg_id;
-            host_.run_on_core(
-                cfg_.core, cfg_.poll_cost,
+            rings_.node().host.run_on_core(
+                kCore, kPollCost,
                 [this, id, data = std::move(data)]() mutable {
                     msg_handler_(id, std::move(data));
                 });

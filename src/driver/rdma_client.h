@@ -6,50 +6,27 @@
  * clients talking to FLD-R accelerators (e.g., the disaggregated ZUC
  * cipher's DPDK cryptodev driver, §7) and by the FLD-R baselines.
  * Message receive reassembles per-packet MPRQ completions into whole
- * messages before delivery.
+ * messages before delivery. The rings are HostRings; this class adds
+ * the QP, connection setup and reassembly.
  */
 #ifndef FLD_DRIVER_RDMA_CLIENT_H
 #define FLD_DRIVER_RDMA_CLIENT_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "driver/host.h"
-#include "nic/nic.h"
-#include "pcie/endpoint.h"
-#include "pcie/fabric.h"
+#include "driver/host_rings.h"
 
 namespace fld::driver {
-
-struct RdmaClientConfig
-{
-    uint32_t sq_entries = 1024;
-    uint32_t rq_entries = 256;
-    uint32_t cq_entries = 4096;
-    uint32_t rx_buffers = 64;
-    uint16_t rx_strides = 32;
-    uint16_t rx_stride_shift = 11;
-    uint32_t core = 0;
-    uint32_t max_msg_bytes = 64 * 1024;
-    /** Verbs post/poll CPU costs (kernel-bypass path). */
-    sim::TimePs post_cost = sim::nanoseconds(60);
-    sim::TimePs poll_cost = sim::nanoseconds(40);
-};
 
 class RdmaClient
 {
   public:
-    RdmaClient(std::string name, sim::EventQueue& eq,
-               pcie::PcieFabric& fabric, pcie::PortId host_port,
-               pcie::MemoryEndpoint& hostmem, uint64_t arena_base,
-               uint64_t arena_size, nic::NicDevice& nic,
-               uint64_t nic_bar_base, HostNode& host,
-               nic::VportId vport, RdmaClientConfig cfg = {},
-               uint64_t mem_dma_base = 0);
+    /** One RC QP on the default RingGeometry, driven from core 0. */
+    RdmaClient(std::string name, const HostAttach& at, nic::VportId vport);
 
     uint32_t qpn() const { return qpn_; }
 
@@ -68,59 +45,19 @@ class RdmaClient
         std::function<void(uint32_t msg_id, std::vector<uint8_t>&&)>;
     void set_msg_handler(MsgHandler fn) { msg_handler_ = std::move(fn); }
 
-    /** Send-completion (ACKed) notification. */
-    using SendDoneHandler = std::function<void(uint32_t msg_id)>;
-    void set_send_done_handler(SendDoneHandler fn)
-    {
-        send_done_ = std::move(fn);
-    }
-
-    size_t sends_outstanding() const { return tx_outstanding_.size(); }
-
     uint64_t messages_sent() const { return messages_sent_; }
     uint64_t messages_received() const { return messages_received_; }
 
   private:
-    uint64_t alloc(uint64_t size, uint64_t align = 64);
     void handle_cqe(const nic::Cqe& cqe);
-    void ring_doorbell(const uint8_t* inline_wqe = nullptr);
 
-    std::string name_;
-    sim::EventQueue& eq_;
-    pcie::PcieFabric& fabric_;
-    pcie::PortId host_port_;
-    pcie::MemoryEndpoint& hostmem_;
-    uint64_t arena_next_;
-    uint64_t arena_end_;
-    uint64_t dma_base_;
-    nic::NicDevice& nic_;
-    uint64_t nic_bar_base_;
-    HostNode& host_;
-    RdmaClientConfig cfg_;
-
-    uint32_t cqn_ = 0;
-    uint32_t sqn_ = 0;
-    uint32_t rqn_ = 0;
+    HostRings rings_;
     uint32_t qpn_ = 0;
-    uint64_t sq_ring_ = 0;
-    uint64_t data_arena_ = 0;
-    std::vector<uint64_t> rx_buffers_;
-    uint32_t sq_pi_ = 0;        ///< slots reserved by post_send()
-    uint32_t sq_published_ = 0; ///< WQEs actually written to memory
-    uint32_t rq_pi_ = 0;
-    bool db_inflight_ = false;
-    bool db_dirty_ = false;
-    std::deque<std::pair<uint16_t, uint32_t>> tx_outstanding_;
 
-    struct Reassembly
-    {
-        std::vector<uint8_t> data;
-        uint32_t received = 0;
-    };
-    std::map<uint32_t, Reassembly> rx_messages_;
+    /** msg_id -> bytes received so far, placed at their offsets. */
+    std::map<uint32_t, std::vector<uint8_t>> rx_messages_;
 
     MsgHandler msg_handler_;
-    SendDoneHandler send_done_;
     uint64_t messages_sent_ = 0;
     uint64_t messages_received_ = 0;
 };

@@ -61,8 +61,10 @@ TEST(TrexGen, FramesCarryVerifiableTokens)
     fabric.attach(np, &nic, 0x4000'0000, nic::NicDevice::kBarSize);
     driver::HostNode host("h", eq, {});
     nic::VportId v = nic.add_vport();
-    driver::CpuDriver drv("d", eq, fabric, hp, hostmem, 0x1000,
-                          8 << 20, nic, 0x4000'0000, host, v);
+    driver::CpuDriver drv("d",
+                          {eq, fabric, hp, hostmem, 0, nic, 0x4000'0000,
+                           host, 0x1000, 8 << 20},
+                          v);
 
     TenantFlow good;
     good.tenant_id = 1;
@@ -114,8 +116,10 @@ TEST(IperfSender, FragmentationDoublesFrames)
     fabric.attach(np, &nic, 0x4000'0000, nic::NicDevice::kBarSize);
     driver::HostNode host("h", eq, {});
     nic::VportId v = nic.add_vport();
-    driver::CpuDriver drv("d", eq, fabric, hp, hostmem, 0x1000,
-                          24 << 20, nic, 0x4000'0000, host, v);
+    driver::CpuDriver drv("d",
+                          {eq, fabric, hp, hostmem, 0, nic, 0x4000'0000,
+                           host, 0x1000, 24 << 20},
+                          v);
     // Sink everything at the switch.
     nic::FlowMatch m;
     m.in_vport = v;
@@ -146,8 +150,10 @@ TEST(IperfSender, NoFragmentationOneFramePerDatagram)
     fabric.attach(np, &nic, 0x4000'0000, nic::NicDevice::kBarSize);
     driver::HostNode host("h", eq, {});
     nic::VportId v = nic.add_vport();
-    driver::CpuDriver drv("d", eq, fabric, hp, hostmem, 0x1000,
-                          24 << 20, nic, 0x4000'0000, host, v);
+    driver::CpuDriver drv("d",
+                          {eq, fabric, hp, hostmem, 0, nic, 0x4000'0000,
+                           host, 0x1000, 24 << 20},
+                          v);
     nic::FlowMatch m;
     m.in_vport = v;
     nic.add_rule(0, 0, m, {nic::drop_action()});
