@@ -77,15 +77,13 @@ FldRuntime::write_rx_ring(uint32_t rx_key, uint32_t entries,
     return ring;
 }
 
-FldRuntime::EthQueue
-FldRuntime::create_eth_queue(nic::VportId vport, uint32_t fld_queue,
-                             uint32_t rx_buffers)
+FldRuntime::FldQp
+FldRuntime::create_queue(nic::VportId vport, uint32_t fld_queue,
+                         uint32_t rx_buffers, bool rdma)
 {
-    EthQueue q;
+    FldQp q;
     q.fld_queue = fld_queue;
     q.vport = vport;
-    q.cqn_tx = tx_cqn_;
-    q.cqn_rx = rx_cqn_;
 
     nic::SqConfig sq;
     sq.ring_addr = fld_.tx_ring_addr(fld_queue);
@@ -101,60 +99,38 @@ FldRuntime::create_eth_queue(nic::VportId vport, uint32_t fld_queue,
     nic::RqConfig rq;
     rq.entries = ring_entries;
     rq.cqn = rx_cqn_;
-    // Create the RQ first to learn its rqn (the CQE completion key),
-    // then back-fill the ring address.
-    rq.ring_addr = 0;
+    rq.ring_addr = 0; // back-filled once the ring is written
     q.rqn = nic_.create_rq(rq);
+    if (rdma)
+        q.qpn = nic_.create_qp({q.sqn, q.rqn, vport});
 
-    // FLD must know the geometry before ring writing needs buffer
-    // addresses.
-    fld_.bind_tx_queue(fld_queue, q.sqn, q.sqn, /*is_rdma=*/false);
-    // bind_rx_queue issues the initial doorbell; write the ring first.
-    // We need the binding (for rx_buffer_addr) before writing ring
-    // entries, so bind without doorbell is not available — instead,
-    // bind, then write the ring, then re-doorbell is unnecessary
-    // because the NIC only reads descriptors when traffic arrives
-    // after the doorbell write has been delivered; the ring write is
-    // a zero-time host-memory store happening at the same instant.
-    fld_.bind_rx_queue(q.rqn, q.rqn, /*is_rdma=*/false, rx_buffers,
+    // FLD keys an RDMA queue's completions by QP, an Ethernet one's by
+    // its SQ and RQ numbers.
+    uint32_t tx_key = rdma ? q.qpn : q.sqn;
+    uint32_t rx_key = rdma ? q.qpn : q.rqn;
+    fld_.bind_tx_queue(fld_queue, q.sqn, tx_key, rdma);
+    // Writing the ring after bind_rx_queue's doorbell is safe: the NIC
+    // reads descriptors only once that doorbell write has landed.
+    fld_.bind_rx_queue(rx_key, q.rqn, rdma, rx_buffers,
                        /*initial_pi=*/rx_buffers);
-    uint64_t ring = write_rx_ring(q.rqn, ring_entries, rx_buffers);
+    uint64_t ring = write_rx_ring(rx_key, ring_entries, rx_buffers);
     nic_.set_rq_ring_addr(q.rqn, ring);
     return q;
+}
+
+FldRuntime::EthQueue
+FldRuntime::create_eth_queue(nic::VportId vport, uint32_t fld_queue,
+                             uint32_t rx_buffers)
+{
+    FldQp q = create_queue(vport, fld_queue, rx_buffers, /*rdma=*/false);
+    return {fld_queue, q.sqn, q.rqn, tx_cqn_, rx_cqn_, vport};
 }
 
 FldRuntime::FldQp
 FldRuntime::create_fld_qp(nic::VportId vport, uint32_t fld_queue,
                           uint32_t rx_buffers)
 {
-    FldQp qp;
-    qp.fld_queue = fld_queue;
-    qp.vport = vport;
-
-    nic::SqConfig sq;
-    sq.ring_addr = fld_.tx_ring_addr(fld_queue);
-    sq.entries = fld_.config().tx_ring_entries;
-    sq.cqn = tx_cqn_;
-    sq.vport = vport;
-    qp.sqn = nic_.create_sq(sq);
-
-    uint32_t ring_entries = 64;
-    while (ring_entries < 2 * rx_buffers)
-        ring_entries *= 2;
-    nic::RqConfig rq;
-    rq.entries = ring_entries;
-    rq.cqn = rx_cqn_;
-    rq.ring_addr = 0;
-    qp.rqn = nic_.create_rq(rq);
-
-    qp.qpn = nic_.create_qp({qp.sqn, qp.rqn, vport});
-
-    fld_.bind_tx_queue(fld_queue, qp.sqn, qp.qpn, /*is_rdma=*/true);
-    fld_.bind_rx_queue(qp.qpn, qp.rqn, /*is_rdma=*/true, rx_buffers,
-                       rx_buffers);
-    uint64_t ring = write_rx_ring(qp.qpn, ring_entries, rx_buffers);
-    nic_.set_rq_ring_addr(qp.rqn, ring);
-    return qp;
+    return create_queue(vport, fld_queue, rx_buffers, /*rdma=*/true);
 }
 
 void

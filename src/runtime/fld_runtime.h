@@ -109,6 +109,11 @@ class FldRuntime
     core::FlexDriver& fld() { return fld_; }
 
   private:
+    /** SQ on FLD tx queue @p fld_queue's ring, RQ with its ring in
+     *  host memory, and (with @p rdma) a QP over both, bound to FLD.
+     *  An Ethernet queue's qpn stays 0. */
+    FldQp create_queue(nic::VportId vport, uint32_t fld_queue,
+                       uint32_t rx_buffers, bool rdma);
     uint64_t alloc_host(uint64_t size, uint64_t align = 64);
     /** Write an RX descriptor ring for FLD buffers into host memory. */
     uint64_t write_rx_ring(uint32_t rx_key, uint32_t entries,
