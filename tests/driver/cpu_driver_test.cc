@@ -12,6 +12,7 @@
 
 #include "net/headers.h"
 #include "nic/nic.h"
+#include "sim/trace.h"
 
 namespace fld::driver {
 namespace {
@@ -215,6 +216,40 @@ TEST(CpuDriver, SixteenBitIndicesWrapInOrder)
     EXPECT_TRUE(rig.driver->send(0, rig.frame(64, 0xfe)));
     rig.eq.run();
     EXPECT_EQ(next, n + 1);
+}
+
+TEST(HostRings, StaleRxCompletionRecyclesNothing)
+{
+    DriverRig rig;
+    HostAttach at{rig.eq,       rig.fabric, rig.host_port, rig.hostmem,
+                  0,            *rig.nic,   0x4000'0000,   rig.host,
+                  (48 << 20) + 0x1000, 8 << 20};
+    HostRings rings("rings", at, [](const nic::Cqe&) {});
+    RingGeometry g;
+    g.rx_buffers = 8;
+    uint32_t q = rings.add_queue(rig.vport, g, 2048);
+    rig.eq.run();
+
+    sim::Tracer tracer;
+    tracer.install();
+    // Buffers [0, 8) are posted. Indices 8 and 0x7fff lie ahead of
+    // that window, and once buffer 1 is current, index 0 lies behind
+    // it: only the completion for buffer 1 reposts (one buffer).
+    for (uint16_t index : {uint16_t(8), uint16_t(0x7fff), uint16_t(1),
+                           uint16_t(0)}) {
+        nic::Cqe cqe;
+        cqe.opcode = nic::CqeOpcode::Rx;
+        cqe.rq_wqe_index = index;
+        rings.recycle_rx(q, cqe);
+        rig.eq.run();
+    }
+    tracer.uninstall();
+    std::vector<uint32_t> rq_doorbells;
+    for (const sim::TraceEvent& e : tracer.events())
+        if (e.kind == sim::TraceEventKind::DoorbellWrite &&
+            std::string(e.detail) == "rq" && e.queue == rings.rqn(q))
+            rq_doorbells.push_back(e.index);
+    EXPECT_EQ(rq_doorbells, std::vector<uint32_t>{9});
 }
 
 TEST(CpuDriver, MultiQueueSpreadsAcrossCores)
