@@ -5,8 +5,7 @@ namespace fld::apps {
 Testbed::Testbed(TestbedConfig cfg_in)
     : fabric(eq, cfg_in.tlp), cfg(cfg_in),
       server_host("server", eq, cfg_in.server_host),
-      client_host("client", eq, cfg_in.client_host),
-      server_arena_next_(0x1000), client_arena_next_(0x1000)
+      client_host("client", eq, cfg_in.client_host)
 {
     // --- server node ---
     server_host_port = fabric.add_port("server.host.pcie",
@@ -29,8 +28,8 @@ Testbed::Testbed(TestbedConfig cfg_in)
                   core::FlexDriver::kBarSize);
 
     rt = std::make_unique<runtime::FldRuntime>(
-        *server_nic, *fld, server_mem, server_arena(64 << 20),
-        64 << 20);
+        *server_nic, *fld, server_mem,
+        server_arena_.alloc(64 << 20, 4096), 64 << 20);
 
     fld_vport = server_nic->add_vport();
     server_app_vport = server_nic->add_vport();
@@ -69,28 +68,12 @@ Testbed::Testbed(TestbedConfig cfg_in)
     }
 }
 
-uint64_t
-Testbed::server_arena(uint64_t size)
-{
-    uint64_t addr = (server_arena_next_ + 4095) & ~uint64_t(4095);
-    server_arena_next_ = addr + size;
-    return addr;
-}
-
-uint64_t
-Testbed::client_arena(uint64_t size)
-{
-    uint64_t addr = (client_arena_next_ + 4095) & ~uint64_t(4095);
-    client_arena_next_ = addr + size;
-    return addr;
-}
-
 driver::HostAttach
 Testbed::server_side(uint64_t arena_bytes)
 {
     return {eq, fabric, server_host_port, server_mem, kServerMemBase,
             *server_nic, kServerNicBar, server_host,
-            server_arena(arena_bytes), arena_bytes};
+            server_arena_.alloc(arena_bytes, 4096), arena_bytes};
 }
 
 driver::HostAttach
@@ -98,7 +81,7 @@ Testbed::client_side(uint64_t arena_bytes)
 {
     return {eq, fabric, client_host_port, client_mem, kClientMemBase,
             *client_nic, kClientNicBar, client_host,
-            client_arena(arena_bytes), arena_bytes};
+            client_arena_.alloc(arena_bytes, 4096), arena_bytes};
 }
 
 void

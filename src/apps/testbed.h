@@ -21,6 +21,7 @@
 #include "runtime/fld_runtime.h"
 #include "sim/event_queue.h"
 #include "sim/fault.h"
+#include "util/arena.h"
 
 namespace fld::apps {
 
@@ -120,12 +121,9 @@ class Testbed
                                int priority = 0);
 
   private:
-    /** Bump allocators for the nodes' memory, as offsets into it. */
-    uint64_t server_arena(uint64_t size);
-    uint64_t client_arena(uint64_t size);
-
-    uint64_t server_arena_next_;
-    uint64_t client_arena_next_;
+    /** The nodes' memory past its first page, as offsets into it. */
+    Arena server_arena_{"server.mem", 0x1000, kMemBytes - 0x1000};
+    Arena client_arena_{"client.mem", 0x1000, kMemBytes - 0x1000};
 };
 
 } // namespace fld::apps

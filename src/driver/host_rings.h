@@ -20,9 +20,10 @@
 
 #include "driver/host.h"
 #include "nic/nic.h"
+#include "nic/ring_protocol.h"
 #include "pcie/endpoint.h"
 #include "pcie/fabric.h"
-#include "util/fifo.h"
+#include "util/arena.h"
 
 namespace fld::driver {
 
@@ -78,7 +79,7 @@ class HostRings
     /** WQEs reserved on @p q and not yet completed. */
     size_t outstanding(uint32_t q) const
     {
-        return queues_[q].outstanding.size();
+        return queues_[q].sq_pi - queues_[q].sq_ci;
     }
     bool full(uint32_t q) const
     {
@@ -105,7 +106,8 @@ class HostRings
     /** Host-memory offset of a receive completion's data. */
     uint64_t rx_addr(uint32_t q, const nic::Cqe& cqe) const;
 
-    /** Reposts the buffers the NIC moved past, in order. */
+    /** Reposts the buffers the NIC moved past, in order (none for a
+     *  stale completion, see nic/ring_protocol.h). */
     void recycle_rx(uint32_t q, const nic::Cqe& cqe);
 
     /** Queue owning SQ (RQ) number @p n, or -1. */
@@ -123,20 +125,18 @@ class HostRings
         uint64_t slots = 0;        ///< per-WQE payload slots
         uint32_t sq_pi = 0;        ///< slots reserved
         uint32_t sq_published = 0; ///< WQEs actually written to memory
+        uint32_t sq_ci = 0;        ///< WQEs retired
         uint32_t rq_pi = 0;
-        bool db_inflight = false;
-        bool db_dirty = false;
-        Fifo<uint16_t> outstanding; ///< reserved WQE indices
+        nic::DoorbellCoalescer sq_doorbell;
         std::vector<uint64_t> rx_buffers; ///< buffer base offsets
     };
 
-    uint64_t alloc(uint64_t size, uint64_t align = 64);
     void ring_sq_doorbell(uint32_t q, const uint8_t* inline_wqe = nullptr);
     void ring_rq_doorbell(const Queue& qu);
 
     std::string name_;
     HostAttach at_;
-    uint64_t arena_next_;
+    Arena arena_;
     uint32_t cqn_ = 0;
     std::vector<Queue> queues_;
 };

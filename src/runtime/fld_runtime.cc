@@ -1,8 +1,6 @@
 #include "runtime/fld_runtime.h"
 
-#include <cstring>
-
-#include "util/logging.h"
+#include "nic/ring_protocol.h"
 #include "util/strings.h"
 
 namespace fld::runtime {
@@ -11,8 +9,7 @@ FldRuntime::FldRuntime(nic::NicDevice& nic, core::FlexDriver& fld,
                        pcie::MemoryEndpoint& hostmem,
                        uint64_t host_arena_base, uint64_t host_arena_size)
     : nic_(nic), fld_(fld), hostmem_(hostmem),
-      arena_next_(host_arena_base),
-      arena_end_(host_arena_base + host_arena_size)
+      arena_{"FldRuntime host", host_arena_base, host_arena_size}
 {
     // One CQ for all transmit queues and one for receive (§4.3), both
     // rings living behind the FLD BAR where completions are stored
@@ -40,41 +37,6 @@ FldRuntime::set_event_handler(EventHandler fn)
                      strfmt("fld error type=%d queue=%u", int(e.type),
                             e.queue)});
     });
-}
-
-uint64_t
-FldRuntime::alloc_host(uint64_t size, uint64_t align)
-{
-    arena_next_ = (arena_next_ + align - 1) & ~(align - 1);
-    uint64_t addr = arena_next_;
-    arena_next_ += size;
-    if (arena_next_ > arena_end_)
-        fatal("FldRuntime: host arena exhausted");
-    return addr;
-}
-
-uint64_t
-FldRuntime::write_rx_ring(uint32_t rx_key, uint32_t entries,
-                          uint32_t buffers)
-{
-    uint64_t ring = alloc_host(uint64_t(entries) * nic::kRxDescStride);
-    // Slot i permanently describes buffer i % buffers: FLD recycles
-    // in order, so the descriptors are never rewritten (§5.2).
-    for (uint32_t i = 0; i < entries; ++i) {
-        nic::RxDesc d;
-        d.addr = fld_.rx_buffer_addr(rx_key, i % buffers);
-        d.byte_count = fld_.rx_buffer_bytes_per_buffer();
-        d.stride_count =
-            uint16_t(fld_.config().rx_strides_per_buffer);
-        d.stride_shift = uint16_t(fld_.config().rx_stride_shift);
-        uint8_t enc[nic::kRxDescStride];
-        d.encode(enc);
-        std::memcpy(hostmem_.raw(ring + uint64_t(i) *
-                                            nic::kRxDescStride,
-                                 nic::kRxDescStride),
-                    enc, nic::kRxDescStride);
-    }
-    return ring;
 }
 
 FldRuntime::FldQp
@@ -111,9 +73,16 @@ FldRuntime::create_queue(nic::VportId vport, uint32_t fld_queue,
     fld_.bind_tx_queue(fld_queue, q.sqn, tx_key, rdma);
     // Writing the ring after bind_rx_queue's doorbell is safe: the NIC
     // reads descriptors only once that doorbell write has landed.
-    fld_.bind_rx_queue(rx_key, q.rqn, rdma, rx_buffers,
-                       /*initial_pi=*/rx_buffers);
-    uint64_t ring = write_rx_ring(rx_key, ring_entries, rx_buffers);
+    fld_.bind_rx_queue(rx_key, q.rqn, rdma, rx_buffers);
+    uint64_t ring_bytes = uint64_t(ring_entries) * nic::kRxDescStride;
+    uint64_t ring = arena_.alloc(ring_bytes);
+    const core::FldConfig& fc = fld_.config();
+    nic::fill_rx_ring(
+        hostmem_.raw(ring, ring_bytes), ring_entries, rx_buffers,
+        {.byte_count = fld_.rx_buffer_bytes_per_buffer(),
+         .stride_count = uint16_t(fc.rx_strides_per_buffer),
+         .stride_shift = uint16_t(fc.rx_stride_shift)},
+        [&](uint32_t b) { return fld_.rx_buffer_addr(rx_key, b); });
     nic_.set_rq_ring_addr(q.rqn, ring);
     return q;
 }

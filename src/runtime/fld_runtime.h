@@ -26,6 +26,7 @@
 #include "fld/flexdriver.h"
 #include "nic/nic.h"
 #include "pcie/endpoint.h"
+#include "util/arena.h"
 
 namespace fld::runtime {
 
@@ -114,16 +115,11 @@ class FldRuntime
      *  An Ethernet queue's qpn stays 0. */
     FldQp create_queue(nic::VportId vport, uint32_t fld_queue,
                        uint32_t rx_buffers, bool rdma);
-    uint64_t alloc_host(uint64_t size, uint64_t align = 64);
-    /** Write an RX descriptor ring for FLD buffers into host memory. */
-    uint64_t write_rx_ring(uint32_t rx_key, uint32_t entries,
-                           uint32_t buffers);
 
     nic::NicDevice& nic_;
     core::FlexDriver& fld_;
     pcie::MemoryEndpoint& hostmem_;
-    uint64_t arena_next_;
-    uint64_t arena_end_;
+    Arena arena_;
     uint32_t tx_cqn_ = 0;
     uint32_t rx_cqn_ = 0;
     EventHandler events_;
