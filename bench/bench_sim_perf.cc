@@ -7,7 +7,7 @@
  * a bench::Report.
  *
  * This intentionally measures the *simulator*, not the simulated
- * hardware: the Gbps tables live in bench_figure7b; this file answers
+ * hardware: the Gbps tables live in bench_paper (figure7b); this file answers
  * "how long does reproducing them take, and is the engine regressing".
  * Per-sample wheel telemetry (bucket occupancy, cascades) shows how
  * the timing-wheel engine is spending its time.

@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction bench binaries. Each
- * binary regenerates one table or figure of the paper; outputs print
+ * Shared helpers for the bench binaries: one flag parser, one JSON
+ * report with a baseline gate (Report, finish()), a deterministic
+ * parallel sweep, and the canonical echo workloads. bench_paper prints
  * the paper's reported value next to the reproduced one wherever the
- * paper gives a number. The extension benches also share one flag
- * parser and one JSON report with a baseline gate (Report, finish()).
+ * paper gives a number.
  */
 #ifndef FLD_BENCH_BENCH_UTIL_H
 #define FLD_BENCH_BENCH_UTIL_H
@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <set>
@@ -113,28 +112,40 @@ struct Row
 class Report
 {
   public:
+    /** Names added from now on read `<scope>.<name>` (empty: bare). */
+    void scope(const std::string& scope)
+    {
+        prefix_ = scope.empty() ? scope : scope + ".";
+    }
     /** A double, printed with %.17g so it reads back bit-exact. */
     void real(const std::string& name, double v, const std::string& unit,
               Gate gate = Gate::Exact)
     {
-        rows_.push_back({name, strfmt("%.17g", v), unit, gate});
+        add(name, strfmt("%.17g", v), unit, gate);
     }
     /** A simulated count. */
     void count(const std::string& name, uint64_t v,
                const std::string& unit = "count")
     {
-        rows_.push_back({name, std::to_string(v), unit, Gate::Exact});
+        add(name, std::to_string(v), unit, Gate::Exact);
     }
     /** A 64-bit digest, in hex. */
     void hash(const std::string& name, uint64_t h)
     {
-        rows_.push_back({name, strfmt("0x%016llx", (unsigned long long)h),
-                         "hash", Gate::Exact});
+        add(name, strfmt("0x%016llx", (unsigned long long)h), "hash",
+            Gate::Exact);
     }
 
     const std::vector<Row>& rows() const { return rows_; }
 
   private:
+    void add(const std::string& name, std::string value,
+             const std::string& unit, Gate gate)
+    {
+        rows_.push_back({prefix_ + name, std::move(value), unit, gate});
+    }
+
+    std::string prefix_;
     std::vector<Row> rows_;
 };
 
@@ -270,28 +281,22 @@ finish(const Report& report, const std::string& out,
  * results are deterministic for any jobs value — only wall-clock
  * completion order varies.
  */
-inline std::vector<std::vector<std::string>>
-parallel_rows(size_t n, unsigned jobs,
-              const std::function<std::vector<std::string>(size_t)>& fn)
+template <typename Fn>
+auto
+parallel_rows(size_t n, unsigned jobs, const Fn& fn)
+    -> std::vector<decltype(fn(size_t(0)))>
 {
-    std::vector<std::vector<std::string>> rows(n);
-    if (jobs <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            rows[i] = fn(i);
-        return rows;
-    }
+    std::vector<decltype(fn(size_t(0)))> rows(n);
     std::atomic<size_t> next{0};
     auto worker = [&] {
-        for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
+        for (size_t i = next++; i < n; i = next++)
             rows[i] = fn(i);
-        }
     };
+    // The calling thread is one of the workers: jobs <= 1 runs serially.
     std::vector<std::thread> pool;
-    for (unsigned t = 0; t < jobs && t < n; ++t)
+    for (unsigned t = 1; t < jobs && t < n; ++t)
         pool.emplace_back(worker);
+    worker();
     for (auto& th : pool)
         th.join();
     return rows;
@@ -313,33 +318,21 @@ inline apps::PktGenConfig
 open_loop_gen(size_t frame, double gbps = kOpenLoopGbps,
               uint32_t flows = 1)
 {
-    apps::PktGenConfig g;
-    g.frame_size = frame;
-    g.offered_gbps = gbps;
-    g.flows = flows;
-    return g;
+    return {.frame_size = frame, .flows = flows, .offered_gbps = gbps};
 }
 
 /** Closed-loop generator with @p window outstanding packets. */
 inline apps::PktGenConfig
 closed_loop_gen(size_t frame, uint32_t window, bool measure_rtt = false)
 {
-    apps::PktGenConfig g;
-    g.frame_size = frame;
-    g.window = window;
-    g.measure_rtt = measure_rtt;
-    return g;
+    return {.frame_size = frame, .window = window, .measure_rtt = measure_rtt};
 }
 
 /** IMC-2010 mixed-size open-loop generator (§8.1.1 packet rates). */
 inline apps::PktGenConfig
 imc_mix_gen(uint32_t flows = 16, double gbps = kOpenLoopGbps)
 {
-    apps::PktGenConfig g;
-    g.imc_mix = true;
-    g.offered_gbps = gbps;
-    g.flows = flows;
-    return g;
+    return {.imc_mix = true, .flows = flows, .offered_gbps = gbps};
 }
 
 /** Delivered goodput over a finished generator's measure window. */
@@ -349,36 +342,31 @@ measured_gbps(const apps::PacketGen& gen)
     return gen.rx_meter().gbps(gen.measure_start(), gen.measure_end());
 }
 
-/** Delivered packet rate over a finished generator's measure window. */
-inline double
-measured_mpps(const apps::PacketGen& gen)
+/**
+ * Builds one echo exchange, FLD-E (@p fld) or CPU driver, sends for
+ * @p warmup plus @p duration, drains the testbed and returns
+ * @p measure(scenario). @p measure takes either scenario type.
+ */
+template <typename Measure>
+auto
+run_echo(bool fld, bool remote, const apps::PktGenConfig& g,
+         sim::TimePs warmup, sim::TimePs duration, Measure measure,
+         apps::TestbedConfig tc = {})
 {
-    return gen.rx_meter().mpps(gen.measure_start(), gen.measure_end());
+    auto run = [&](auto s) {
+        s->gen->start(warmup, duration);
+        s->tb->eq.run();
+        return measure(*s);
+    };
+    if (fld)
+        return run(apps::make_fld_echo(remote, g, tc));
+    return run(apps::make_cpu_echo(remote, g, tc));
 }
 
-/** Build, run and measure one FLD-E echo exchange. */
-inline double
-run_fld_echo_gbps(bool remote, const apps::PktGenConfig& g,
-                  sim::TimePs warmup, sim::TimePs duration,
-                  apps::TestbedConfig tc = {})
-{
-    auto s = apps::make_fld_echo(remote, g, tc);
-    s->gen->start(warmup, duration);
-    s->tb->eq.run();
-    return measured_gbps(*s->gen);
-}
-
-/** Build, run and measure one CPU-driver echo exchange. */
-inline double
-run_cpu_echo_gbps(bool remote, const apps::PktGenConfig& g,
-                  sim::TimePs warmup, sim::TimePs duration,
-                  apps::TestbedConfig tc = {})
-{
-    auto s = apps::make_cpu_echo(remote, g, tc);
-    s->gen->start(warmup, duration);
-    s->tb->eq.run();
-    return measured_gbps(*s->gen);
-}
+/** run_echo's measure for delivered goodput. */
+inline constexpr auto echo_gbps = [](const auto& s) {
+    return measured_gbps(*s.gen);
+};
 
 } // namespace fld::bench
 

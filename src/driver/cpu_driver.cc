@@ -83,6 +83,8 @@ CpuDriver::handle_cqe(const nic::Cqe& cqe)
 void
 CpuDriver::handle_rx(uint32_t q, const nic::Cqe& cqe)
 {
+    if (!rings_.recycle_rx(q, cqe))
+        return; // stale: its buffer may already hold another frame
     const HostAttach& at = rings_.node();
     net::Packet pkt;
     pkt.data.resize(cqe.byte_count);
@@ -94,7 +96,6 @@ CpuDriver::handle_rx(uint32_t q, const nic::Cqe& cqe)
     pkt.meta.tunneled = cqe.flags & nic::kCqeTunneled;
     pkt.meta.queue_id = uint16_t(q);
     pkt.meta.corr = cqe.corr;
-    rings_.recycle_rx(q, cqe);
 
     // Overload shedding: bounded queueing toward the application.
     if (at.host.core_free_at(core_of(q)) >

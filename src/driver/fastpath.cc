@@ -309,14 +309,13 @@ FastPath::open(uint32_t app, uint64_t cookie, uint32_t remote_ip,
 uint32_t
 FastPath::open_established(uint32_t app, uint64_t cookie,
                            uint32_t remote_ip, uint16_t remote_port,
-                           uint16_t local_port, bool legacy)
+                           uint16_t local_port)
 {
     ConnKey key{remote_ip, remote_port, local_port};
     Connection* c = create_conn(app, cookie, key);
     if (!c)
         return kNoConn;
     c->state_ = ConnState::Established;
-    c->legacy_ = legacy;
     return c->id_;
 }
 
@@ -606,8 +605,6 @@ FastPath::reset_conn(Connection& c)
     c.tx_records_.clear();
     c.retries_ = 0;
     cancel_timer(c);
-    if (c.legacy_)
-        return; // single-connection mode stays usable after a reset
     c.state_ = ConnState::Reset;
     post_ctrl(c, CtrlMsg::Type::Reset);
 }
@@ -674,7 +671,7 @@ FastPath::on_arp(const net::Packet& pkt)
         on_arp_resolved(arp->sender_ip);
         return;
     }
-    if (arp->oper == net::ArpHeader::kRequest && cfg_.arp_responder &&
+    if (arp->oper == net::ArpHeader::kRequest &&
         arp->target_ip == cfg_.ip) {
         // Learn the asker (we are about to talk back to it anyway).
         arp_cache_[arp->sender_ip] = arp->sender_mac;

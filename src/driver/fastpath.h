@@ -4,9 +4,9 @@
  *
  * The paper's FLD re-implements the NIC driver an accelerator needs;
  * serving real applications additionally needs the *host* transmit
- * path the kernel normally provides. This module grows the
- * single-connection SoftwareSendStack (PR 3) into a per-flow fast
- * path in the shape of TAS/flextcp (SNIPPETS.md snippet 1):
+ * path the kernel normally provides. This module is that path: a
+ * per-flow fast path in the shape of TAS/flextcp (SNIPPETS.md
+ * snippet 1):
  *
  *  - Applications talk to the stack through per-application SPSC
  *    descriptor rings. Each entry is a flextcp-style
@@ -280,9 +280,6 @@ class Connection
     uint64_t cookie_ = 0;
     ConnConfig cfg_;
     ConnState state_ = ConnState::Closed;
-    /** Legacy single-connection mode (SoftwareSendStack): resets
-     *  clear the queues but keep the connection usable. */
-    bool legacy_ = false;
     bool auto_close_peer_fin_ = true;
 
     uint32_t snd_una_ = 1;
@@ -333,8 +330,6 @@ struct FastPathConfig
     ConnConfig conn;
     /** Bytes per RX-ring slot buffer (>= conn.mss). */
     uint32_t slot_bytes = 2048;
-    /** Answer ARP requests for our own IP (a real host does). */
-    bool arp_responder = true;
 };
 
 /** Retry cadence when the driver refuses a frame (ring full / no FLD
@@ -426,18 +421,14 @@ class FastPath
     void close(uint32_t conn_id);
     /** Accept passive connections on @p local_port for @p app. */
     void listen(uint16_t local_port, uint32_t app);
-    /**
-     * Create a connection already in Established without a handshake
-     * (tests, and the SoftwareSendStack compatibility wrapper).
-     * @p legacy keeps the connection usable after a reset, matching
-     * the old single-connection stack.
-     */
+    /** Create a connection already in Established without a
+     *  handshake (tests). */
     uint32_t open_established(uint32_t app, uint64_t cookie,
                               uint32_t remote_ip, uint16_t remote_port,
-                              uint16_t local_port, bool legacy = false);
+                              uint16_t local_port);
 
-    /** Stream bytes directly (ring-less path; used by the wrapper and
-     *  by tests that exercise TCP machinery without the ring ABI). */
+    /** Stream bytes directly (ring-less path; used by tests that
+     *  exercise TCP machinery without the ring ABI). */
     size_t stream_send(uint32_t conn_id, const uint8_t* data,
                        size_t len);
 

@@ -141,15 +141,20 @@ HostRings::rx_addr(uint32_t q, const nic::Cqe& cqe) const
            (uint64_t(cqe.stride_index) << qu.geo.rx_stride_shift);
 }
 
-void
+bool
 HostRings::recycle_rx(uint32_t q, const nic::Cqe& cqe)
 {
     Queue& qu = queues_[q];
+    if (!nic::rx_posted(qu.rq_pi, qu.geo.rx_buffers, cqe.rq_wqe_index)) {
+        rx_stale_dropped_++;
+        return false;
+    }
     if (uint32_t n = nic::rx_advance(qu.rq_pi, qu.geo.rx_buffers,
                                      cqe.rq_wqe_index)) {
         qu.rq_pi += n;
         ring_rq_doorbell(qu);
     }
+    return true;
 }
 
 int

@@ -106,9 +106,14 @@ class HostRings
     /** Host-memory offset of a receive completion's data. */
     uint64_t rx_addr(uint32_t q, const nic::Cqe& cqe) const;
 
-    /** Reposts the buffers the NIC moved past, in order (none for a
-     *  stale completion, see nic/ring_protocol.h). */
-    void recycle_rx(uint32_t q, const nic::Cqe& cqe);
+    /**
+     * Reposts the buffers the NIC moved past, in order. False for a
+     * stale completion (see nic/ring_protocol.h): nothing is reposted,
+     * the drop is counted, and the caller must not read its buffer.
+     */
+    bool recycle_rx(uint32_t q, const nic::Cqe& cqe);
+    /** Stale receive completions recycle_rx() dropped. */
+    uint64_t rx_stale_dropped() const { return rx_stale_dropped_; }
 
     /** Queue owning SQ (RQ) number @p n, or -1. */
     int find_sq(uint32_t n) const;
@@ -139,6 +144,7 @@ class HostRings
     Arena arena_;
     uint32_t cqn_ = 0;
     std::vector<Queue> queues_;
+    uint64_t rx_stale_dropped_ = 0;
 };
 
 } // namespace fld::driver

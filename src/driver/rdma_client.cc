@@ -68,6 +68,9 @@ RdmaClient::handle_cqe(const nic::Cqe& cqe)
     if (cqe.opcode != nic::CqeOpcode::Rx)
         return;
 
+    if (!rings_.recycle_rx(0, cqe))
+        return; // stale: its buffer may already hold another frame
+
     // Per-packet MPRQ completion: copy the stride into the message
     // reassembly buffer (the incremental-processing property of §6).
     std::vector<uint8_t>& msg = rx_messages_[cqe.msg_id];
@@ -76,7 +79,6 @@ RdmaClient::handle_cqe(const nic::Cqe& cqe)
     rings_.node().mem.bar_read(rings_.rx_addr(0, cqe),
                                msg.data() + cqe.msg_offset,
                                cqe.byte_count);
-    rings_.recycle_rx(0, cqe);
 
     if (cqe.flags & nic::kCqeRdmaLast) {
         auto it = rx_messages_.find(cqe.msg_id);

@@ -528,6 +528,10 @@ FlexDriver::handle_rx_cqe(const nic::Cqe& cqe)
         return;
     }
     RxBinding& b = it->second;
+    if (!nic::rx_posted(b.pi, b.buffer_count, cqe.rq_wqe_index)) {
+        stats_.rx_stale_dropped++;
+        return;
+    }
 
     // In-order buffer recycling (§5.2): the NIC walked past every
     // buffer older than the one this CQE lands in, so recycle them by

@@ -99,6 +99,7 @@ struct FldStats
     uint64_t wqe_reads = 0;    ///< descriptor slots synthesized
     uint64_t cqes = 0;
     uint64_t buffers_recycled = 0;
+    uint64_t rx_stale_dropped = 0; ///< completions outside the posted window
 };
 
 class FlexDriver : public pcie::PcieEndpoint

@@ -19,7 +19,8 @@
  *    i % buffers, so the descriptors are written once and a buffer is
  *    reposted by bumping the producer index. The NIC only fills posted
  *    buffers, [pi - buffers, pi) in 16-bit index space; a completion
- *    outside that window is stale and reposts nothing.
+ *    outside that window is stale: it reposts nothing and its buffer
+ *    is not read.
  */
 #ifndef FLD_NIC_RING_PROTOCOL_H
 #define FLD_NIC_RING_PROTOCOL_H
@@ -77,16 +78,28 @@ retire_count(uint16_t wqe_counter, uint16_t oldest, uint32_t outstanding)
 }
 
 /**
- * Buffers to repost when an RX completion lands in buffer @p index,
- * with producer index @p pi and @p buffers buffers posted: every
- * buffer older than @p index. A stale @p index, outside
- * [pi - buffers, pi), reposts nothing.
+ * True if RX buffer @p index is posted, with producer index @p pi and
+ * @p buffers buffers posted: inside [pi - buffers, pi) in 16-bit
+ * index space. A completion for any other index is stale: the NIC may
+ * be refilling its buffer, so it is dropped, not delivered.
+ */
+inline bool
+rx_posted(uint32_t pi, uint32_t buffers, uint16_t index)
+{
+    return uint16_t(index - uint16_t(pi - buffers)) < buffers;
+}
+
+/**
+ * Buffers to repost when an RX completion lands in posted buffer
+ * @p index (see rx_posted()): every buffer older than @p index. A
+ * stale @p index reposts nothing.
  */
 inline uint32_t
 rx_advance(uint32_t pi, uint32_t buffers, uint16_t index)
 {
-    uint16_t delta = uint16_t(index - uint16_t(pi - buffers));
-    return delta < buffers ? delta : 0;
+    return rx_posted(pi, buffers, index)
+               ? uint16_t(index - uint16_t(pi - buffers))
+               : 0;
 }
 
 /**

@@ -240,16 +240,54 @@ TEST(HostRings, StaleRxCompletionRecyclesNothing)
         nic::Cqe cqe;
         cqe.opcode = nic::CqeOpcode::Rx;
         cqe.rq_wqe_index = index;
-        rings.recycle_rx(q, cqe);
+        EXPECT_EQ(rings.recycle_rx(q, cqe), index == 1) << index;
         rig.eq.run();
     }
     tracer.uninstall();
+    EXPECT_EQ(rings.rx_stale_dropped(), 3u);
     std::vector<uint32_t> rq_doorbells;
     for (const sim::TraceEvent& e : tracer.events())
         if (e.kind == sim::TraceEventKind::DoorbellWrite &&
             std::string(e.detail) == "rq" && e.queue == rings.rqn(q))
             rq_doorbells.push_back(e.index);
     EXPECT_EQ(rq_doorbells, std::vector<uint32_t>{9});
+}
+
+TEST(CpuDriver, StaleRxCompletionDeliversNothing)
+{
+    // One stride per buffer: every frame consumes a whole buffer.
+    CpuDriverConfig cfg;
+    cfg.rx_strides = 1;
+    DriverRig rig(cfg);
+    std::vector<net::Packet> rx;
+    rig.driver->set_rx_handler([&](uint32_t, net::Packet&& pkt) {
+        rx.push_back(std::move(pkt));
+    });
+    for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(rig.driver->send(0, rig.frame(100, uint8_t(i))));
+        rig.eq.run();
+    }
+    ASSERT_EQ(rx.size(), 20u);
+
+    // A completion for buffer 18 once buffer 19 is current lies
+    // outside the posted window. Written into a free slot of the CQ
+    // (the arena's first allocation), it must deliver nothing.
+    nic::Cqe stale;
+    stale.opcode = nic::CqeOpcode::Rx;
+    stale.qpn = rig.driver->rqn(0);
+    stale.byte_count = 64;
+    stale.rq_wqe_index = 18;
+    uint8_t buf[nic::kCqeStride];
+    stale.encode(buf);
+    rig.hostmem.bar_write(0x1000 + 100 * nic::kCqeStride, buf, sizeof buf);
+    rig.eq.run();
+    EXPECT_EQ(rx.size(), 20u);
+    EXPECT_EQ(rig.driver->stats().rx_packets, 20u);
+
+    // The ring still works: later frames arrive.
+    ASSERT_TRUE(rig.driver->send(0, rig.frame(100, 0x77)));
+    rig.eq.run();
+    EXPECT_EQ(rx.size(), 21u);
 }
 
 TEST(CpuDriver, MultiQueueSpreadsAcrossCores)

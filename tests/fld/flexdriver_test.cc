@@ -245,6 +245,8 @@ TEST(FlexDriverRx, StaleCompletionRecyclesNothing)
                       buf, sizeof buf);
     tb.eq.run();
     EXPECT_EQ(tb.fld->stats().buffers_recycled, recycled);
+    EXPECT_EQ(tb.rx.size(), 20u);
+    EXPECT_EQ(tb.fld->stats().rx_stale_dropped, 1u);
 
     size_t before = tb.rx.size();
     deliver(20);

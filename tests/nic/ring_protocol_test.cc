@@ -65,10 +65,12 @@ TEST(RingProtocol, RxAdvanceMatchesPostedWindow)
             for (uint32_t index = 0; index < 0x10000; ++index) {
                 uint32_t want = posted[index] < 0 ? 0 : posted[index];
                 uint32_t got = rx_advance(pi, buffers, uint16_t(index));
-                if (got != want && mismatches++ == 0)
+                bool in = rx_posted(pi, buffers, uint16_t(index));
+                if ((got != want || in != (posted[index] >= 0)) &&
+                    mismatches++ == 0)
                     ADD_FAILURE() << "buffers " << buffers << " pi " << pi
                                   << " index " << index << ": " << got
-                                  << " != " << want;
+                                  << " != " << want << ", posted " << in;
             }
         }
     }
