@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) for the performance-critical
  * primitives: the cuckoo translation table, ZUC/SHA-256/HMAC, the
- * Toeplitz hash, checksums, packet parse/build, and IP reassembly.
+ * Toeplitz hash, checksums, packet parse/build, IP reassembly, the
+ * event queue and the compiled steering pipeline.
  */
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "net/ip_reassembly.h"
 #include "net/packet.h"
 #include "net/toeplitz.h"
+#include "nic/pipeline.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
 
@@ -289,3 +291,79 @@ BM_IpFragmentReassemble(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IpFragmentReassemble);
+
+/** eSwitch-shaped ruleset: @p rules total across tables 0 and 3. */
+static nic::FlowTables
+pipeline_ruleset(uint32_t rules, Rng& rng)
+{
+    using namespace fld::nic;
+    FlowTables t;
+    // VXLAN termination + wildcard floor, as the echo scenarios
+    // install them.
+    FlowMatch vx;
+    vx.in_vport = kUplinkVport;
+    vx.dport = net::kVxlanPort;
+    t.add_rule(0, 1000, vx, {vxlan_decap(), fwd_tir(1)});
+    t.add_rule(0, 1, {}, {fwd_tir(1)});
+    for (uint32_t i = 2; i < rules; ++i) {
+        FlowMatch m;
+        m.in_vport = kUplinkVport;
+        std::vector<Action> acts;
+        switch (i % 3) {
+        case 0: // tenant tag chain: tag + count, resolve in table 3
+            m.dport = uint16_t(1000 + i);
+            acts = {set_tag(i), count_action(i), goto_table(3)};
+            break;
+        case 1: // plain dport steering
+            m.dport = uint16_t(1000 + i);
+            acts = {fwd_queue(i % 8)};
+            break;
+        default: // src-scoped drop
+            m.src_ip = uint32_t(rng.next());
+            acts = {drop_action()};
+            break;
+        }
+        t.add_rule(0, int(10 + i % 50), m, std::move(acts));
+    }
+    FlowMatch tagged;
+    tagged.flow_tag = 0; // never set on extracted fields: miss floor
+    t.add_rule(3, 1, tagged, {fwd_queue(0)});
+    return t;
+}
+
+static void
+BM_PipelineLookup(benchmark::State& state)
+{
+    // The flat program NicDevice steers with (Pipeline::config_from)
+    // over an eSwitch ruleset of range(0) rules, looking up a
+    // pre-extracted field stream biased so hits and misses both occur.
+    // Matching conformance is the unit tests' job (pipeline_match_test's
+    // shadow matcher, flow_table_test).
+    const uint32_t rules = uint32_t(state.range(0));
+    Rng rng(0xbe9c + rules);
+    nic::FlowTables flows = pipeline_ruleset(rules, rng);
+    nic::Pipeline pipe(nic::Pipeline::config_from(flows));
+    std::vector<nic::FlowFields> stream(20'000);
+    for (auto& f : stream) {
+        f.in_vport = nic::kUplinkVport;
+        f.ethertype = net::kEtherTypeIpv4;
+        f.ip_proto = net::kIpProtoUdp;
+        f.src_ip = uint32_t(rng.next());
+        f.dst_ip = uint32_t(rng.next());
+        f.sport = uint16_t(rng.uniform(0xffff));
+        f.dport = rng.chance(0.5) ? uint16_t(1000 + rng.uniform(rules))
+                                  : uint16_t(rng.uniform(0xffff));
+        f.has_l4 = true;
+    }
+    uint64_t matched = 0;
+    size_t i = 0;
+    for (auto _ : state) {
+        matched += pipe.lookup(0, stream[i]) != nullptr;
+        i = i + 1 == stream.size() ? 0 : i + 1;
+    }
+    // A loop where nothing matched timed no work.
+    if (matched == 0)
+        state.SkipWithError("no lookup matched");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PipelineLookup)->Arg(4)->Arg(16)->Arg(64)->Arg(256);

@@ -55,6 +55,10 @@ const PaperRow kRows[] = {
     {"iot_isolation", "§8.2.3", paper::iot_isolation},
     {"ablation", "design choices (extension)", paper::ablation},
     {"scaling", "§9 (extension)", paper::scaling},
+    {"fastpath", "extension", paper::fastpath},
+    {"rpc", "extension", paper::rpc},
+    {"flow_scale", "extension", paper::flow_scale},
+    {"timer_churn", "extension", paper::timer_churn},
 };
 
 } // namespace
@@ -65,8 +69,9 @@ main(int argc, char** argv)
     std::string only, out = "BENCH_PAPER.json", baseline, trace;
     uint64_t jobs = 1;
     parse_flags(argc, argv,
-                {{"only", only}, {"out", out}, {"baseline", baseline},
-                 {"jobs", jobs}, {"trace", trace}});
+                {{"only", only, "ROW"}, {"out", out, "PATH"},
+                 {"baseline", baseline, "PATH"}, {"jobs", jobs},
+                 {"trace", trace, "PATH"}});
     if (!trace.empty()) {
         if (!only.empty() || !baseline.empty()) {
             std::fprintf(stderr, "--trace runs alone: no --only or "

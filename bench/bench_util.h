@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared helpers for the bench binaries: one flag parser, one JSON
- * report with a baseline gate (Report, finish()), a deterministic
- * parallel sweep, and the canonical echo workloads. bench_paper prints
- * the paper's reported value next to the reproduced one wherever the
- * paper gives a number.
+ * Helpers behind bench_paper's rows: one flag parser, one JSON report
+ * with a baseline gate (Report, finish()), a deterministic parallel
+ * sweep, engine telemetry (run_sampled, engine_rows) and the canonical
+ * echo workloads. bench_paper prints the paper's reported value next
+ * to the reproduced one wherever the paper gives a number.
  */
 #ifndef FLD_BENCH_BENCH_UTIL_H
 #define FLD_BENCH_BENCH_UTIL_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,13 +43,16 @@ note(const std::string& text)
 /** One `--name=value` command-line flag bound to a bench variable. */
 struct Flag
 {
-    Flag(const char* name, std::string& text) : name(name), text(&text)
+    /** A text flag; @p value names it in the usage line (`ROW`). */
+    Flag(const char* name, std::string& text, const char* value)
+        : name(name), value(value), text(&text)
     {}
     Flag(const char* name, uint64_t& number)
-        : name(name), number(&number)
+        : name(name), value("N"), number(&number)
     {}
 
     const char* name;
+    const char* value;
     std::string* text = nullptr;
     uint64_t* number = nullptr; ///< parsed with parse_u64
 };
@@ -81,8 +85,7 @@ parse_flags(int argc, char** argv, std::initializer_list<Flag> flags)
                                                      : "unknown option",
                      argv[i], argv[0]);
         for (const Flag& f : flags)
-            std::fprintf(stderr, " [--%s=%s]", f.name,
-                         f.text ? "PATH" : "N");
+            std::fprintf(stderr, " [--%s=%s]", f.name, f.value);
         std::fprintf(stderr, "\n");
         std::exit(2);
     }
@@ -196,7 +199,7 @@ struct Comparison
  * Compare a run's rows against a baseline's. An `exact` run row fails
  * when its value differs from the baseline's or the baseline lacks it,
  * and a run with no `exact` row fails as a whole; `none` rows are never
- * compared. Baseline rows the run did not produce (a smaller sweep) are
+ * compared. Baseline rows the run did not produce (an `--only` run) are
  * listed as not run.
  */
 inline Comparison
@@ -230,7 +233,8 @@ compare(const std::vector<Row>& run, const std::vector<Row>& baseline)
 
 /**
  * Write @p report to @p out as {"rows": [...]}, one row object per
- * line, and, when @p baseline is set, compare it (see compare()).
+ * line, and, when @p baseline is set, compare it (see compare()),
+ * printing how many baseline rows were not run in one line.
  * Returns the bench's exit code: 0, or 1 when the file cannot be
  * written or read or an exact row fails, naming the row.
  */
@@ -262,8 +266,8 @@ finish(const Report& report, const std::string& out,
         return 1;
     }
     Comparison c = compare(report.rows(), base);
-    for (const std::string& name : c.not_run)
-        note("not run: " + name);
+    if (!c.not_run.empty())
+        note(strfmt("%zu baseline rows not run", c.not_run.size()));
     for (const std::string& why : c.failures)
         std::fprintf(stderr, "BASELINE MISMATCH %s\n", why.c_str());
     if (!c.failures.empty())
@@ -342,20 +346,89 @@ measured_gbps(const apps::PacketGen& gen)
     return gen.rx_meter().gbps(gen.measure_start(), gen.measure_end());
 }
 
+// ---------------------------------------------------------------------
+// Engine telemetry: how much work the discrete-event engine did for a
+// run (exact: the event stream is deterministic) and how fast the host
+// executed it (wall-clock: never compared).
+// ---------------------------------------------------------------------
+
+using WheelStats = sim::EventQueue::WheelStats;
+
+/** What the engine did over one run. */
+struct EngineSample
+{
+    double wall_sec = 0;      ///< host seconds spent inside the run
+    uint64_t events = 0;      ///< engine events executed during the run
+    uint64_t packets = 0;     ///< packets delivered during the run
+    sim::TimePs sim_time = 0; ///< simulated time the run advanced
+    WheelStats wheel; ///< counters over the run (max_bucket: lifetime)
+};
+
+/** Run @p eq to completion, sampling the engine around it (packets
+ *  is left to the caller). */
+inline EngineSample
+run_sampled(sim::EventQueue& eq)
+{
+    uint64_t events0 = eq.executed_total();
+    sim::TimePs sim0 = eq.now();
+    WheelStats w0 = eq.wheel_stats();
+    auto t0 = std::chrono::steady_clock::now();
+    eq.run();
+    EngineSample s;
+    s.wall_sec = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    s.events = eq.executed_total() - events0;
+    s.sim_time = eq.now() - sim0;
+    const WheelStats& w1 = eq.wheel_stats();
+    WheelStats& w = s.wheel;
+    w.bucket_drains = w1.bucket_drains - w0.bucket_drains;
+    w.drained_events = w1.drained_events - w0.drained_events;
+    w.max_bucket = w1.max_bucket;
+    w.cascades = w1.cascades - w0.cascades;
+    w.cascaded_events = w1.cascaded_events - w0.cascaded_events;
+    w.overflow_filed = w1.overflow_filed - w0.overflow_filed;
+    return s;
+}
+
+/** Add @p s to @p report under `<point>.`: engine counters as exact
+ *  rows, host seconds and events/sec as ungated ones. */
+inline void
+engine_rows(Report& report, const std::string& point, const EngineSample& s)
+{
+    std::string p = point + ".";
+    report.count(p + "events", s.events, "events");
+    report.count(p + "packets", s.packets, "packets");
+    report.real(p + "sim_sec", sim::to_sec(s.sim_time), "s");
+    report.count(p + "bucket_drains", s.wheel.bucket_drains);
+    report.real(p + "avg_bucket", s.wheel.avg_bucket_occupancy(), "events");
+    report.count(p + "max_bucket", s.wheel.max_bucket, "events");
+    report.count(p + "cascades", s.wheel.cascades);
+    report.count(p + "cascaded_events", s.wheel.cascaded_events, "events");
+    report.count(p + "overflow_filed", s.wheel.overflow_filed, "events");
+    report.real(p + "wall_sec", s.wall_sec, "s", Gate::None);
+    report.real(p + "events_per_sec", double(s.events) / s.wall_sec,
+                "1/s", Gate::None);
+}
+
 /**
  * Builds one echo exchange, FLD-E (@p fld) or CPU driver, sends for
  * @p warmup plus @p duration, drains the testbed and returns
- * @p measure(scenario). @p measure takes either scenario type.
+ * @p measure(scenario). @p measure takes either scenario type. When
+ * @p engine is set it receives the engine telemetry of the run.
  */
 template <typename Measure>
 auto
 run_echo(bool fld, bool remote, const apps::PktGenConfig& g,
          sim::TimePs warmup, sim::TimePs duration, Measure measure,
-         apps::TestbedConfig tc = {})
+         apps::TestbedConfig tc = {}, EngineSample* engine = nullptr)
 {
     auto run = [&](auto s) {
         s->gen->start(warmup, duration);
-        s->tb->eq.run();
+        EngineSample e = run_sampled(s->tb->eq);
+        e.packets = s->gen->rx_meter().packets();
+        if (engine)
+            *engine = e;
         return measure(*s);
     };
     if (fld)

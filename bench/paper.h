@@ -26,8 +26,8 @@ struct Run
     Report report;
     /** Worker threads for a row's independent sweep points. */
     unsigned jobs = 1;
-    /** Set by a row that could not produce its values (it says why on
-     *  stderr); bench_paper then exits 1. */
+    /** Set by a row that could not produce its values or whose oracle
+     *  tripped (it says why on stderr); bench_paper then exits 1. */
     bool failed = false;
 };
 
@@ -68,6 +68,12 @@ void defrag(Run& run);
 void iot_isolation(Run& run);
 void ablation(Run& run);
 void scaling(Run& run);
+
+// Extensions beyond the paper's evaluation (paper_ext.cc).
+void fastpath(Run& run);
+void rpc(Run& run);
+void flow_scale(Run& run);
+void timer_churn(Run& run);
 
 } // namespace fld::bench::paper
 

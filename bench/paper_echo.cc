@@ -50,34 +50,48 @@ figure7b(Run& run)
                                   "fld_r_local",  "model_remote",
                                   "eth_line"};
     const std::vector<size_t> sizes = {64, 128, 256, 512, 1024, 1500};
+    /** One size's Gbps per series, and the engine telemetry of its
+     *  first kEchoSeries (run_echo) runs. */
+    constexpr size_t kEchoSeries = 3;
+    struct SizePoint
+    {
+        std::vector<double> gbps;
+        EngineSample engine[kEchoSeries];
+    };
     // Each size builds independent testbeds, so sizes sweep in
     // parallel (--jobs=N); results land in size order either way.
     auto points = parallel_rows(sizes.size(), run.jobs, [&](size_t i) {
         size_t size = sizes[i];
+        SizePoint p;
         // Local has no wire pacing: a closed loop self-regulates at
         // the PCIe bottleneck instead of collapsing under overload.
-        auto fld_e = [&](bool remote) {
+        auto fld_e = [&](bool remote, EngineSample* engine) {
             apps::PktGenConfig g = remote ? open_loop_gen(size)
                                           : closed_loop_gen(size, 256);
             return run_echo(true, remote, g, kWarmup, kDuration,
-                            echo_gbps);
+                            echo_gbps, {}, engine);
         };
         // FLD-R: message = frame payload; headers ride the transport.
-        return std::vector<double>{
-            fld_e(true), fld_e(false),
+        p.gbps = {
+            fld_e(true, &p.engine[0]), fld_e(false, &p.engine[1]),
             run_echo(false, true, open_loop_gen(size), kWarmup, kDuration,
-                     echo_gbps),
+                     echo_gbps, {}, &p.engine[2]),
             run_fldr_echo(true, size, 0, kDuration).achieved_gbps,
             run_fldr_echo(false, size, 0, kDuration).achieved_gbps,
             model::fld_expected_gbps(remote_model, uint32_t(size)),
             model::eth_goodput_gbps(25.0, uint32_t(size))};
+        return p;
     });
+    // The echo runs' engine telemetry, printed after the IMC table.
+    std::vector<std::pair<std::string, EngineSample>> engine;
     for (size_t i = 0; i < sizes.size(); ++i) {
         std::vector<std::string> cells = {strfmt("%zu", sizes[i])};
-        for (size_t k = 0; k < points[i].size(); ++k) {
-            cells.push_back(format_gbps(points[i][k]));
-            run.report.real(strfmt("%s_%zuB.gbps", series[k], sizes[i]),
-                            points[i][k], "Gbps");
+        for (size_t k = 0; k < points[i].gbps.size(); ++k) {
+            std::string point = strfmt("%s_%zuB", series[k], sizes[i]);
+            cells.push_back(format_gbps(points[i].gbps[k]));
+            run.report.real(point + ".gbps", points[i].gbps[k], "Gbps");
+            if (k < kEchoSeries)
+                engine.emplace_back(point, points[i].engine[k]);
         }
         t.row(cells);
     }
@@ -88,12 +102,17 @@ figure7b(Run& run)
          ">= 512 B messages");
 
     banner("IMC-2010 mixed sizes: packet rate", "§8.1.1");
-    auto mix_mpps = [](bool fld) {
-        return run_echo(fld, true, imc_mix_gen(), kWarmup, kDuration,
-                        [](const auto& s) {
-                            return s.gen->rx_meter().mpps(
-                                s.gen->measure_start(), s.gen->measure_end());
-                        });
+    auto mix_mpps = [&](bool fld) {
+        EngineSample e;
+        double mpps = run_echo(fld, true, imc_mix_gen(), kWarmup, kDuration,
+                               [](const auto& s) {
+                                   return s.gen->rx_meter().mpps(
+                                       s.gen->measure_start(),
+                                       s.gen->measure_end());
+                               },
+                               {}, &e);
+        engine.emplace_back(fld ? "imc.fld_e" : "imc.cpu", e);
+        return mpps;
     };
     double fld_mpps = mix_mpps(true);
     double cpu_mpps = mix_mpps(false);
@@ -105,6 +124,24 @@ figure7b(Run& run)
     m.print();
     run.report.real("imc.fld_e_mpps", fld_mpps, "Mpps");
     run.report.real("imc.cpu_mpps", cpu_mpps, "Mpps");
+
+    // Simulator throughput: host seconds and events/sec go to the
+    // report only, so stdout stays the same on any machine.
+    banner("Engine telemetry of the echo runs above",
+           "simulator throughput");
+    TextTable e;
+    e.header({"Run", "events", "packets", "sim ms", "avg bkt",
+              "max bkt", "cascades"});
+    for (const auto& [point, s] : engine) {
+        e.row({point, strfmt("%llu", (unsigned long long)s.events),
+               strfmt("%llu", (unsigned long long)s.packets),
+               strfmt("%.3f", sim::to_ms(s.sim_time)),
+               strfmt("%.1f", s.wheel.avg_bucket_occupancy()),
+               strfmt("%llu", (unsigned long long)s.wheel.max_bucket),
+               strfmt("%llu", (unsigned long long)s.wheel.cascades)});
+        engine_rows(run.report, point, s);
+    }
+    e.print();
 }
 
 void

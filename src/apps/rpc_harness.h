@@ -17,8 +17,9 @@
  *  - the shared frame: conservation ledger, stack quiescence, server
  *    app idle, optional TraceChecker.
  *
- * The report carries the SLO measurements bench_rpc serves: p50/p99/
- * p99.9 request latency, completed request rate, and goodput.
+ * The report carries the SLO measurements bench_paper's rpc row
+ * serves: p50/p99/p99.9 request latency, completed request rate, and
+ * goodput.
  */
 #ifndef FLD_APPS_RPC_HARNESS_H
 #define FLD_APPS_RPC_HARNESS_H

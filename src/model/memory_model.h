@@ -74,7 +74,8 @@ MemoryBreakdown fld_memory(const MemoryParams& p);
 // directory (cuckoo flow translation + packed flow state + per-tenant
 // stats + heavy-hitter sketch) at a given flow-table size. The
 // simulated FLD registers what it actually instantiates in its
-// MemBudget; conformance tests and bench_flow_scale reconcile the two
+// MemBudget; conformance tests and bench_paper's flow_scale row
+// reconcile the two
 // and fail when they diverge beyond a tolerance.
 // ---------------------------------------------------------------------
 

@@ -12,7 +12,8 @@
  * control-plane faults (duplicate opens, stray closes).
  *
  * The same generator feeds unit tests, the fuzzer (fld_fuzz --churn)
- * and bench_flow_scale, so all three agree on what "churn" means.
+ * and bench_paper's flow_scale row, so all three agree on what
+ * "churn" means.
  */
 #ifndef FLD_SIM_CHURN_H
 #define FLD_SIM_CHURN_H

@@ -118,14 +118,19 @@ TEST(BenchReport, BaselineRowsNotRunAreReportedNotFailed)
     full.count("scale_10k.events", 1492282, "events");
     full.real("scale_10k.wall_sec", 0.4, "s", Gate::None);
     std::vector<Row> base = written_rows(full, "not_run");
-    Report smaller = sample(); // a --max-conns style smaller sweep
+    Report smaller = sample(); // an --only style smaller run
     Comparison c = compare(smaller.rows(), base);
     EXPECT_TRUE(c.failures.empty());
     EXPECT_EQ(c.not_run, (std::vector<std::string>{
                              "scale_10k.events", "scale_10k.wall_sec"}));
-    EXPECT_EQ(finish(smaller, temp_path("not_run_run"),
-                     temp_path("not_run")),
-              0);
+    // finish() counts them in one line instead of naming each.
+    ::testing::internal::CaptureStdout();
+    int rc = finish(smaller, temp_path("not_run_run"), temp_path("not_run"));
+    std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    EXPECT_NE(out.find("  2 baseline rows not run\n"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("scale_10k"), std::string::npos) << out;
 }
 
 TEST(BenchReport, HashAndDoubleRoundTripExactly)

@@ -4,8 +4,8 @@
  * instantiate must match the analytical memory model.
  *
  * Part A reconciles the flow directory against
- * model::flow_directory_memory at every bench_flow_scale size point
- * (1k / 10k / 100k / 1M flows).
+ * model::flow_directory_memory at every size point of bench_paper's
+ * flow_scale row (1k / 10k / 100k / 1M flows).
  *
  * Part B instantiates a full FlexDriver at Table 3 operating points
  * (25 / 50 / 100 Gbps with the paper's lifetimes and 512 queues),

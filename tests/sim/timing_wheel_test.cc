@@ -261,7 +261,7 @@ TEST(TimingWheel, ScheduleBurstVariadicKeepsOrder)
 TEST(TimingWheel, StatsSeeBucketBatching)
 {
     // A same-tick train drains as one bucket: occupancy telemetry must
-    // report it (this is the signal bench_sim_perf surfaces).
+    // report it (this is the signal bench_paper's engine rows surface).
     EventQueue eq;
     for (int i = 0; i < 32; ++i)
         eq.schedule_at(1000, [] {});
