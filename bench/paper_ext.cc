@@ -388,10 +388,12 @@ timer_churn(Run& run)
 {
     banner("Timer churn", "extension: scheduler stress");
 
-    // 100k flow timers re-arm at RTO-like horizons until a million
-    // events have executed: no testbed, just schedule/advance churn
-    // over a pending set big enough to spread across wheel levels (the
-    // million-flow control plane's timer load, distilled).
+    // 100k flow timers re-arm at RTO-like horizons until the
+    // millionth firing; the 99,999 timers still pending then fire once
+    // more without re-arming, so the run executes 1,099,999 events. No
+    // testbed, just schedule/advance churn over a pending set big
+    // enough to spread across wheel levels (the million-flow control
+    // plane's timer load, distilled).
     constexpr uint32_t kPopulation = 100'000;
     constexpr uint64_t kEvents = 1'000'000;
     sim::EventQueue eq;

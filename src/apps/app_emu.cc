@@ -42,7 +42,7 @@ AppEmu::start()
     open_next_batch();
     if (!cfg_.closed_loop && !open_loop_timer_) {
         open_loop_timer_ = true;
-        eq_.schedule_in(cfg_.send_interval, [this] { pacing_tick(); });
+        eq_.schedule_in(kAppSendInterval, [this] { pacing_tick(); });
     }
 }
 
@@ -56,7 +56,7 @@ AppEmu::pacing_tick()
     // by run length, so simplicity wins).
     if (done_count_ < total_incarnations_ && !open_loop_timer_) {
         open_loop_timer_ = true;
-        eq_.schedule_in(cfg_.send_interval, [this] { pacing_tick(); });
+        eq_.schedule_in(kAppSendInterval, [this] { pacing_tick(); });
     }
 }
 
@@ -86,8 +86,8 @@ AppEmu::open_slot(uint32_t slot_index, uint32_t incarnation)
         s.finished = true;
         ++done_count_;
         if (incarnation < cfg_.churn_cycles)
-            eq_.schedule_in(cfg_.reopen_delay, [this, slot_index,
-                                                incarnation] {
+            eq_.schedule_in(kAppReopenDelay, [this, slot_index,
+                                              incarnation] {
                 open_slot(slot_index, incarnation + 1);
             });
         return;
@@ -234,7 +234,7 @@ AppEmu::handle_ctrl(const driver::CtrlMsg& m)
         by_conn_.erase(it);
         s.finished = true;
         if (inc < cfg_.churn_cycles)
-            eq_.schedule_in(cfg_.reopen_delay,
+            eq_.schedule_in(kAppReopenDelay,
                             [this, slot_index, inc] {
                                 open_slot(slot_index, inc + 1);
                             });
@@ -330,7 +330,11 @@ SinkApp::on_notify()
     if (drain_pending_)
         return;
     drain_pending_ = true;
-    eq_.schedule_in(cfg_.drain_delay, [this] {
+    // Drain in a fresh event at the same tick, not inside the notify:
+    // the fast path finishes its delivery first, repeat notifies
+    // coalesce into one drain, and the same-tick event order (which
+    // the digests and pins record) stays as it is.
+    eq_.schedule_in(0, [this] {
         drain_pending_ = false;
         drain();
     });

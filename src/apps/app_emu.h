@@ -38,6 +38,12 @@ namespace fld::apps {
 // Client
 // ---------------------------------------------------------------------
 
+/** Open-loop request cadence per client. Chosen here. */
+constexpr sim::TimePs kAppSendInterval = sim::microseconds(2);
+/** Gap between a connection closing and its slot's next incarnation
+ *  opening (churn_cycles). Chosen here. */
+constexpr sim::TimePs kAppReopenDelay = sim::microseconds(50);
+
 struct AppEmuConfig
 {
     uint32_t connections = 8;
@@ -48,13 +54,11 @@ struct AppEmuConfig
     /** Closed loop: next request waits for the previous TxDone.
      *  Open loop: requests go out on a fixed cadence. */
     bool closed_loop = true;
-    sim::TimePs send_interval = sim::microseconds(2); ///< open loop
     /** Stagger opens: this many per interval. */
     uint32_t open_batch = 32;
     sim::TimePs open_interval = sim::microseconds(10);
     /** Extra open/close incarnations per connection slot. */
     uint32_t churn_cycles = 0;
-    sim::TimePs reopen_delay = sim::microseconds(50);
 
     uint16_t base_port = 20000;
     uint32_t remote_ip = 0;
@@ -162,9 +166,6 @@ struct SinkAppConfig
     uint16_t listen_port = 7000;
     uint32_t tx_ring_entries = 8;
     uint32_t rx_ring_entries = 256;
-    /** Delay between notify and ring drain: models a slow app and
-     *  forces RX-ring parking when deliveries outpace it. */
-    sim::TimePs drain_delay = 0;
 };
 
 /** Per-flow record on the server side, keyed by the peer's port. */

@@ -202,9 +202,7 @@ ChurnHarness::report()
         violate("budget underflowed during churn");
     if (budget_.total() != dir_.memory_bytes() + want_active)
         violate("budget total != provisioned + active bytes");
-    if (std::string why = dir_.reconcile_with_model(
-            cfg_.model_tolerance);
-        !why.empty())
+    if (std::string why = dir_.reconcile_with_model(); !why.empty())
         violate(std::move(why));
 
     // Deterministic digest over everything externally observable.

@@ -52,7 +52,6 @@ struct ChurnHarnessConfig
     /** Per-tenant shaping rate (0 = shaping off). */
     double tenant_rate_gbps = 0.0;
     uint64_t tenant_burst_bytes = 16 * 1024;
-    double model_tolerance = 0.05;
 };
 
 struct ChurnReport

@@ -1,5 +1,6 @@
 #include "apps/iperf.h"
 
+#include "apps/testbed.h"
 #include "nic/config.h"
 
 namespace fld::apps {
@@ -23,7 +24,7 @@ IperfSender::send_next()
         return;
 
     uint32_t flow = next_flow_++ % cfg_.flows;
-    size_t payload = cfg_.datagram_bytes - net::kIpv4HeaderLen -
+    size_t payload = kIperfDatagramBytes - net::kIpv4HeaderLen -
                      net::kUdpHeaderLen;
     std::vector<uint8_t> body(payload);
     for (size_t i = 0; i < std::min<size_t>(payload, 32); ++i)
@@ -31,7 +32,7 @@ IperfSender::send_next()
 
     net::Packet datagram =
         net::PacketBuilder()
-            .eth(cfg_.src_mac, cfg_.dst_mac)
+            .eth(kClientMac, kServerMac)
             .ipv4(cfg_.src_ip, cfg_.dst_ip, net::kIpProtoUdp,
                   next_ip_id_++)
             .udp(uint16_t(cfg_.base_sport + flow), cfg_.dport)
@@ -40,22 +41,22 @@ IperfSender::send_next()
 
     // Sender-side kernel work: fragmentation and tunneling run in
     // software on the flow's core.
-    sim::TimePs cost = cfg_.send_cost;
+    sim::TimePs cost = kIperfSendCost;
     std::vector<net::Packet> frames;
     if (cfg_.fragment && datagram.size() - net::kEthHeaderLen >
                              cfg_.route_mtu) {
         frames = net::ip_fragment(datagram, cfg_.route_mtu);
-        cost += cfg_.fragment_cost;
+        cost += kIperfFragmentCost;
     } else {
         frames.push_back(std::move(datagram));
     }
     if (cfg_.vxlan) {
         for (auto& f : frames) {
             f = net::vxlan_encapsulate(f, cfg_.vni, cfg_.outer_src_ip,
-                                       cfg_.outer_dst_ip, cfg_.src_mac,
-                                       cfg_.dst_mac);
+                                       cfg_.outer_dst_ip, kClientMac,
+                                       kServerMac);
         }
-        cost += cfg_.vxlan_cost;
+        cost += kIperfVxlanCost;
     }
 
     uint32_t core = flow % host_.cores();

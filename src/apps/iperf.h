@@ -25,11 +25,20 @@
 
 namespace fld::apps {
 
+/** L3 datagram size before fragmentation, in bytes: 1500 B IP
+ *  datagrams (§8.2.2). */
+constexpr size_t kIperfDatagramBytes = 1500;
+
+/** Sender-side kernel costs per original datagram; calibrated so plain
+ *  sends saturate 25 GbE while software fragmentation + VXLAN tunneling
+ *  caps the sender near the paper's ~17 Gbps (§8.2.2). */
+constexpr sim::TimePs kIperfSendCost = sim::nanoseconds(350);
+constexpr sim::TimePs kIperfFragmentCost = sim::nanoseconds(800);
+constexpr sim::TimePs kIperfVxlanCost = sim::microseconds(8.0);
+
 struct IperfConfig
 {
     uint32_t flows = 60;
-    /** L3 datagram size before fragmentation (paper: 1500 B IP). */
-    size_t datagram_bytes = 1500;
     /** Route MTU; datagrams above it are fragmented in software. */
     size_t route_mtu = 1500;
     bool fragment = false;
@@ -37,15 +46,6 @@ struct IperfConfig
     uint32_t vni = 0x1234;
     double offered_gbps = 25.0;
 
-    /** Sender-side kernel costs per original datagram; calibrated so
-     *  plain sends saturate 25 GbE while software fragmentation +
-     *  VXLAN tunneling caps the sender near the paper's ~17 Gbps. */
-    sim::TimePs send_cost = sim::nanoseconds(350);
-    sim::TimePs fragment_cost = sim::nanoseconds(800);
-    sim::TimePs vxlan_cost = sim::microseconds(8.0);
-
-    net::MacAddr src_mac{2, 0, 0, 0, 0, 0xc1};
-    net::MacAddr dst_mac{2, 0, 0, 0, 0, 0x51};
     uint32_t src_ip = net::ipv4_addr(10, 0, 0, 2);
     uint32_t dst_ip = net::ipv4_addr(10, 0, 0, 1);
     uint32_t outer_src_ip = net::ipv4_addr(192, 168, 0, 2);

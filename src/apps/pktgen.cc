@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "apps/testbed.h"
 #include "sim/fuzz.h"
 #include "util/bitops.h"
 #include "util/logging.h"
@@ -73,7 +74,7 @@ PacketGen::make_packet()
     uint16_t sport =
         uint16_t(cfg_.base_sport + cookie % std::max(1u, cfg_.flows));
     net::Packet pkt = net::PacketBuilder()
-                          .eth(cfg_.src_mac, cfg_.dst_mac)
+                          .eth(kClientMac, kServerMac)
                           .ipv4(cfg_.src_ip, cfg_.dst_ip,
                                 net::kIpProtoUdp)
                           .udp(sport, cfg_.dport)
@@ -81,8 +82,8 @@ PacketGen::make_packet()
                           .build();
     if (cfg_.vxlan)
         pkt = net::vxlan_encapsulate(pkt, cfg_.vni, cfg_.vxlan_src_ip,
-                                     cfg_.vxlan_dst_ip, cfg_.src_mac,
-                                     cfg_.dst_mac);
+                                     cfg_.vxlan_dst_ip, kClientMac,
+                                     kServerMac);
     return pkt;
 }
 
@@ -110,13 +111,8 @@ PacketGen::send_one()
     }
     if (cfg_.max_packets && tx_count_ >= cfg_.max_packets)
         return;
-    net::Packet pkt = make_packet();
-    size_t bytes = pkt.size();
-    if (driver_.send(queue_, std::move(pkt))) {
+    if (driver_.send(queue_, make_packet()))
         ++tx_count_;
-        if (eq_.now() >= measure_start_)
-            tx_meter_.record(eq_.now(), bytes);
-    }
 }
 
 void
@@ -133,11 +129,8 @@ PacketGen::schedule_next_open_loop()
     sim::TimePs gap =
         sim::serialize_time(bytes + nic::kEthWireOverhead,
                             cfg_.offered_gbps);
-    if (driver_.send(queue_, std::move(pkt))) {
+    if (driver_.send(queue_, std::move(pkt)))
         ++tx_count_;
-        if (eq_.now() >= measure_start_)
-            tx_meter_.record(eq_.now(), bytes);
-    }
     eq_.schedule_in(gap, [this] { schedule_next_open_loop(); });
 }
 

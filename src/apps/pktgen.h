@@ -56,8 +56,6 @@ struct PktGenConfig
     uint32_t vxlan_src_ip = net::ipv4_addr(192, 168, 0, 2);
     uint32_t vxlan_dst_ip = net::ipv4_addr(192, 168, 0, 1);
 
-    net::MacAddr src_mac{2, 0, 0, 0, 0, 0xc1};
-    net::MacAddr dst_mac{2, 0, 0, 0, 0, 0x51};
     uint32_t src_ip = net::ipv4_addr(10, 0, 0, 2);
     uint32_t dst_ip = net::ipv4_addr(10, 0, 0, 1);
     uint16_t base_sport = 40000;
@@ -87,7 +85,6 @@ class PacketGen
 
     /** Measured delivered (received-back) traffic. */
     const sim::RateMeter& rx_meter() const { return rx_meter_; }
-    const sim::RateMeter& tx_meter() const { return tx_meter_; }
     /** RTT in microseconds (measure_rtt mode). */
     const sim::Histogram& rtt_us() const { return rtt_us_; }
 
@@ -125,7 +122,6 @@ class PacketGen
     uint64_t bad_payload_ = 0;
     std::map<uint32_t, uint64_t> flow_digests_;
     sim::RateMeter rx_meter_;
-    sim::RateMeter tx_meter_;
     sim::Histogram rtt_us_;
 };
 

@@ -9,19 +9,19 @@ Testbed::Testbed(TestbedConfig cfg_in)
 {
     // --- server node ---
     server_host_port = fabric.add_port("server.host.pcie",
-                                       cfg.pcie_gbps, cfg.pcie_latency);
+                                       cfg.pcie_gbps, kPcieLatency);
     fabric.attach(server_host_port, &server_mem, kServerMemBase,
                   kMemBytes);
 
     pcie::PortId snic_port = fabric.add_port(
-        "server.nic.pcie", cfg.nic_internal_gbps, cfg.pcie_latency);
+        "server.nic.pcie", kNicInternalGbps, kPcieLatency);
     server_nic = std::make_unique<nic::NicDevice>(
         "server.nic", eq, fabric, snic_port, cfg.nic);
     fabric.attach(snic_port, server_nic.get(), kServerNicBar,
                   nic::NicDevice::kBarSize);
 
     pcie::PortId fld_port =
-        fabric.add_port("fld.pcie", cfg.pcie_gbps, cfg.pcie_latency);
+        fabric.add_port("fld.pcie", cfg.pcie_gbps, kPcieLatency);
     fld = std::make_unique<core::FlexDriver>(
         "fld", eq, fabric, fld_port, kFldBar, kServerNicBar, cfg.fld);
     fabric.attach(fld_port, fld.get(), kFldBar,
@@ -37,13 +37,12 @@ Testbed::Testbed(TestbedConfig cfg_in)
     // --- client node ---
     if (cfg.remote) {
         client_host_port = fabric.add_port(
-            "client.host.pcie", cfg.pcie_gbps, cfg.pcie_latency);
+            "client.host.pcie", cfg.pcie_gbps, kPcieLatency);
         fabric.attach(client_host_port, &client_mem, kClientMemBase,
                       kMemBytes);
 
         pcie::PortId cnic_port = fabric.add_port(
-            "client.nic.pcie", cfg.nic_internal_gbps,
-            cfg.pcie_latency);
+            "client.nic.pcie", kNicInternalGbps, kPcieLatency);
         client_nic = std::make_unique<nic::NicDevice>(
             "client.nic", eq, fabric, cnic_port, cfg.nic);
         fabric.attach(cnic_port, client_nic.get(), kClientNicBar,
@@ -52,7 +51,7 @@ Testbed::Testbed(TestbedConfig cfg_in)
 
         wire = std::make_unique<nic::EthernetLink>(
             eq, server_nic->uplink(), client_nic->uplink(),
-            cfg.nic.port_gbps, cfg.nic.wire_latency);
+            nic::kPortGbps, nic::kWireLatency);
     }
 
     // --- fault plan (opt-in) ---

@@ -25,6 +25,13 @@
 
 namespace fld::apps {
 
+/** The NIC ASIC's port into its integrated PCIe switch, in Gbps: wide
+ *  enough to feed both the host and the FPGA 50 Gbps links. Chosen
+ *  here. */
+constexpr double kNicInternalGbps = 110.0;
+/** Latency of every PCIe port hop. Chosen here. */
+constexpr sim::TimePs kPcieLatency = sim::nanoseconds(100);
+
 struct TestbedConfig
 {
     bool remote = true; ///< attach the client node + 25 GbE wire
@@ -33,10 +40,6 @@ struct TestbedConfig
     driver::HostConfig server_host;
     driver::HostConfig client_host;
     double pcie_gbps = 50.0; ///< PCIe Gen3 x8 per direction
-    /** The NIC ASIC's port into its integrated PCIe switch: wide
-     *  enough to feed both the host and the FPGA 50 Gbps links. */
-    double nic_internal_gbps = 110.0;
-    sim::TimePs pcie_latency = sim::nanoseconds(100);
 
     /** TLP sizing plus opt-in PCIe fault knobs (tlp.faults). */
     pcie::TlpParams tlp;

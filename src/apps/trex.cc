@@ -1,5 +1,6 @@
 #include "apps/trex.h"
 
+#include "apps/testbed.h"
 #include "net/coap.h"
 #include "net/jwt.h"
 #include "nic/config.h"
@@ -34,7 +35,7 @@ TrexGen::make_frame(size_t flow)
     std::vector<uint8_t> coap = msg.encode();
 
     net::Packet pkt = net::PacketBuilder()
-                          .eth(cfg_.src_mac, cfg_.dst_mac)
+                          .eth(kClientMac, kServerMac)
                           .ipv4(f.src_ip, cfg_.dst_ip,
                                 net::kIpProtoUdp)
                           .udp(f.sport, f.dport)

@@ -34,8 +34,6 @@ struct TenantFlow
 struct TrexConfig
 {
     std::vector<TenantFlow> flows;
-    net::MacAddr src_mac{2, 0, 0, 0, 0, 0xc1};
-    net::MacAddr dst_mac{2, 0, 0, 0, 0, 0x51};
     uint32_t dst_ip = net::ipv4_addr(10, 0, 0, 1);
     uint64_t seed = 31;
 };

@@ -192,16 +192,6 @@ FastPath::conn(uint32_t conn_id) const
     return it == conns_.end() ? nullptr : it->second.get();
 }
 
-std::vector<uint32_t>
-FastPath::conn_ids() const
-{
-    std::vector<uint32_t> ids;
-    ids.reserve(conns_.size());
-    for (const auto& [id, c] : conns_)
-        ids.push_back(id);
-    return ids;
-}
-
 Connection*
 FastPath::find_by_key(const ConnKey& key)
 {
@@ -221,7 +211,6 @@ FastPath::create_conn(uint32_t app, uint64_t cookie, const ConnKey& key)
     c->key_ = key;
     c->app_ = app;
     c->cookie_ = cookie;
-    c->cfg_ = cfg_.conn;
     Connection* raw = c.get();
     by_key_[key] = raw->id_;
     conns_[raw->id_] = std::move(c);
@@ -238,13 +227,6 @@ FastPath::free_conn(uint32_t conn_id)
     if (key_it != by_key_.end() && key_it->second == conn_id)
         by_key_.erase(key_it);
     conns_.erase(it);
-}
-
-void
-FastPath::set_conn_config(uint32_t conn_id, const ConnConfig& cfg)
-{
-    if (Connection* c = find(conn_id))
-        c->cfg_ = cfg;
 }
 
 void
@@ -415,10 +397,10 @@ FastPath::enqueue_stream(Connection& c, const uint8_t* data, size_t len,
 {
     // Slice the stream at MSS boundaries up front; the window decides
     // when each slice actually leaves.
-    for (size_t off = 0; off < len; off += c.cfg_.mss) {
+    for (size_t off = 0; off < len; off += cfg_.conn.mss) {
         Connection::Segment seg;
         seg.seq = c.snd_nxt_;
-        size_t n = std::min<size_t>(c.cfg_.mss, len - off);
+        size_t n = std::min<size_t>(cfg_.conn.mss, len - off);
         // Intentional copy: each segment owns its bytes so it can be
         // retransmitted after the source buffer is reused.
         seg.payload.assign(data + off, data + off + n);
@@ -426,7 +408,6 @@ FastPath::enqueue_stream(Connection& c, const uint8_t* data, size_t len,
         c.snd_nxt_ += uint32_t(n);
         c.backlog_.push_back(std::move(seg));
     }
-    c.bytes_streamed_ += len;
     pump(c);
 }
 
@@ -445,7 +426,7 @@ FastPath::pump(Connection& c)
         return;
     }
     while (!c.backlog_.empty() &&
-           c.unacked_.size() < c.cfg_.window_segments) {
+           c.unacked_.size() < cfg_.conn.window_segments) {
         // Data only flows once the handshake is done; SYN segments
         // (and the SYN-ACK) go out in any state.
         const Connection::Segment& front = c.backlog_.front();
@@ -557,7 +538,7 @@ FastPath::arm_timer(Connection& c)
     c.timer_armed_ = true;
     uint64_t gen = ++c.timer_gen_;
     uint32_t id = c.id_;
-    eq_.schedule_in(c.cfg_.rto,
+    eq_.schedule_in(cfg_.conn.rto,
                     [this, id, gen] { on_timeout(id, gen); });
 }
 
@@ -579,7 +560,7 @@ FastPath::on_timeout(uint32_t conn_id, uint64_t generation)
     c->timer_armed_ = false;
     if (c->unacked_.empty())
         return;
-    if (++c->retries_ > c->cfg_.max_retries) {
+    if (++c->retries_ > cfg_.conn.max_retries) {
         reset_conn(*c);
         return;
     }
@@ -630,7 +611,7 @@ FastPath::enter_closed(Connection& c)
     // Time-wait: keep the demux entry so a peer retransmitting its
     // FIN (our final ACK may have been lost) still gets re-ACKed.
     uint32_t id = c.id_;
-    sim::TimePs linger = c.cfg_.rto * kTimeWaitRtos;
+    sim::TimePs linger = cfg_.conn.rto * kTimeWaitRtos;
     eq_.schedule_in(linger, [this, id] {
         Connection* conn = find(id);
         if (conn && conn->state_ == ConnState::Closed)
@@ -869,7 +850,6 @@ FastPath::handle_ack(Connection& c, uint32_t ack)
            seq_le(c.unacked_.front().seq +
                       c.unacked_.front().seq_len(),
                   ack)) {
-        c.bytes_acked_ += c.unacked_.front().payload.size();
         c.unacked_.pop_front();
     }
     if (c.fin_queued_ && seq_le(c.fin_seq_ + 1, ack))
@@ -937,9 +917,8 @@ FastPath::handle_fin(Connection& c, uint32_t fin_seq)
 void
 FastPath::deliver_data(Connection& c, const uint8_t* data, size_t len)
 {
-    c.bytes_delivered_ += len;
     if (c.app_ == kNoApp)
-        return; // ring-less consumer (wrapper mode): counted only
+        return; // ring-less consumer (wrapper mode): nothing to post
     ParkedRx item;
     item.conn_id = c.id_;
     item.type = kDescData;

@@ -169,7 +169,7 @@ class DescRing
 // Connections
 // ---------------------------------------------------------------------
 
-/** Per-connection reliability parameters. */
+/** TCP reliability parameters (one set per FastPath). */
 struct ConnConfig
 {
     uint32_t mss = 1460;         ///< TCP payload bytes per segment
@@ -250,9 +250,6 @@ class Connection
     uint64_t segments_sent() const { return segments_sent_; }
     uint64_t retransmits() const { return retransmits_; }
     uint64_t resets() const { return resets_; }
-    uint64_t bytes_streamed() const { return bytes_streamed_; }
-    uint64_t bytes_acked() const { return bytes_acked_; }
-    uint64_t bytes_delivered() const { return bytes_delivered_; }
     uint64_t dup_segments() const { return dup_segments_; }
     uint64_t ooo_segments() const { return ooo_segments_; }
 
@@ -278,7 +275,6 @@ class Connection
     ConnKey key_;
     uint32_t app_ = 0;
     uint64_t cookie_ = 0;
-    ConnConfig cfg_;
     ConnState state_ = ConnState::Closed;
     bool auto_close_peer_fin_ = true;
 
@@ -311,9 +307,6 @@ class Connection
     uint64_t segments_sent_ = 0;
     uint64_t retransmits_ = 0;
     uint64_t resets_ = 0;
-    uint64_t bytes_streamed_ = 0;
-    uint64_t bytes_acked_ = 0;
-    uint64_t bytes_delivered_ = 0;
     uint64_t dup_segments_ = 0;
     uint64_t ooo_segments_ = 0;
 };
@@ -326,7 +319,7 @@ struct FastPathConfig
 {
     net::MacAddr mac{0x02, 0, 0, 0, 0, 0x51};
     uint32_t ip = net::ipv4_addr(192, 168, 1, 2);
-    /** Defaults applied to every new connection. */
+    /** Reliability parameters shared by every connection. */
     ConnConfig conn;
     /** Bytes per RX-ring slot buffer (>= conn.mss). */
     uint32_t slot_bytes = 2048;
@@ -441,14 +434,10 @@ class FastPath
     const Connection* conn(uint32_t conn_id) const;
     /** Connections not yet freed (includes time-wait and Reset). */
     size_t live_conns() const { return conns_.size(); }
-    std::vector<uint32_t> conn_ids() const;
     /** True when nothing is in flight anywhere in the stack. */
     bool quiesced() const;
     const FastPathStats& stats() const { return stats_; }
     const FastPathConfig& config() const { return cfg_; }
-
-    /** Per-connection config override (before any traffic). */
-    void set_conn_config(uint32_t conn_id, const ConnConfig& cfg);
 
   private:
     struct ParkedRx

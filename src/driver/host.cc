@@ -7,18 +7,13 @@
 namespace fld::driver {
 
 HostNode::HostNode(std::string name, sim::EventQueue& eq, HostConfig cfg)
-    : name_(std::move(name)), eq_(eq), cfg_(cfg),
-      busy_until_(cfg.cores, 0), busy_time_(cfg.cores, 0),
-      rng_(cfg.seed)
-{
-    if (cfg.cores == 0)
-        fatal("HostNode: need at least one core");
-}
+    : name_(std::move(name)), eq_(eq), cfg_(cfg), rng_(cfg.seed)
+{}
 
 sim::TimePs
 HostNode::core_start(uint32_t core, sim::TimePs cost)
 {
-    if (core >= cfg_.cores)
+    if (core >= kHostCores)
         fatal("%s: core %u out of range", name_.c_str(), core);
 
     sim::TimePs start = std::max(eq_.now(), busy_until_[core]);

@@ -12,20 +12,21 @@
 #ifndef FLD_DRIVER_HOST_H
 #define FLD_DRIVER_HOST_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace fld::driver {
 
+/** Cores per host, each a serial server. Chosen here. */
+constexpr uint32_t kHostCores = 16;
+
 struct HostConfig
 {
-    uint32_t cores = 16;
-
     /**
      * DPDK-style driver cost per packet on one side (rx or tx).
      * Calibrated so a single-core testpmd echo forwards ~9.6 Mpps on
@@ -49,14 +50,14 @@ struct HostConfig
     uint64_t seed = 12345;
 };
 
-/** A host with @c cores serial cores. */
+/** A host with kHostCores serial cores. */
 class HostNode
 {
   public:
     HostNode(std::string name, sim::EventQueue& eq, HostConfig cfg = {});
 
     const HostConfig& config() const { return cfg_; }
-    uint32_t cores() const { return cfg_.cores; }
+    uint32_t cores() const { return kHostCores; }
 
     /**
      * Run @p cost of work on @p core, then call @p fn. Work on one
@@ -100,8 +101,8 @@ class HostNode
     std::string name_;
     sim::EventQueue& eq_;
     HostConfig cfg_;
-    std::vector<sim::TimePs> busy_until_;
-    std::vector<sim::TimePs> busy_time_;
+    std::array<sim::TimePs, kHostCores> busy_until_{};
+    std::array<sim::TimePs, kHostCores> busy_time_{};
     Rng rng_;
 };
 

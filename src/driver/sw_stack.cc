@@ -17,9 +17,9 @@ void
 SoftwareReceiveStack::on_packet(uint32_t queue, net::Packet&& pkt)
 {
     // Stack processing cost on the core RSS picked (== queue's core).
-    sim::TimePs cost = cfg_.per_packet_cost;
+    sim::TimePs cost = kStackPerPacketCost;
     if (!pkt.meta.l4_csum_ok)
-        cost += sim::TimePs(pkt.size()) * cfg_.csum_per_byte;
+        cost += sim::TimePs(pkt.size()) * kStackCsumPerByte;
 
     net::ParsedPacket pp = net::parse(pkt);
     bool fragment = pp.is_ip_fragment();
@@ -29,7 +29,7 @@ SoftwareReceiveStack::on_packet(uint32_t queue, net::Packet&& pkt)
             ++dropped_;
             return;
         }
-        cost += cfg_.defrag_per_packet;
+        cost += kStackDefragPerPacket;
     }
 
     host_.run_on_core(driver_.core_of(queue), cost,
@@ -49,7 +49,6 @@ void
 SoftwareReceiveStack::account(uint32_t, const net::Packet& pkt)
 {
     net::ParsedPacket pp = net::parse(pkt);
-    ++packets_;
     delivered_ += pp.payload_len;
     meter_.record(eq_.now(), pp.payload_len);
 }

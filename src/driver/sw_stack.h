@@ -25,21 +25,22 @@
 
 namespace fld::driver {
 
+/** Kernel per-packet processing (softirq + TCP). Calibrated so 16
+ *  cores comfortably sustain 25 Gbps of MTU packets while one core
+ *  alone bottlenecks near the paper's 3.2 Gbps on the fragmented path
+ *  (§8.2.2). */
+constexpr sim::TimePs kStackPerPacketCost = sim::nanoseconds(600);
+
+/** Software checksum cost per byte, in ps, when the NIC offload verdict
+ *  is unavailable (fragments). Calibrated with kStackPerPacketCost. */
+constexpr sim::TimePs kStackCsumPerByte = 550;
+
+/** Reassembly bookkeeping per fragment. Calibrated with
+ *  kStackPerPacketCost. */
+constexpr sim::TimePs kStackDefragPerPacket = sim::nanoseconds(380);
+
 struct SwStackConfig
 {
-    /** Kernel per-packet processing (softirq + TCP). Calibrated so 16
-     *  cores comfortably sustain 25 Gbps of MTU packets while one
-     *  core alone bottlenecks near the paper's 3.2 Gbps on the
-     *  fragmented path. */
-    sim::TimePs per_packet_cost = sim::nanoseconds(600);
-
-    /** Software checksum cost per byte when the NIC offload verdict
-     *  is unavailable (fragments). ~0.4 ns/B on the modeled cores. */
-    sim::TimePs csum_per_byte = 550; // ps
-
-    /** Reassembly bookkeeping per fragment. */
-    sim::TimePs defrag_per_packet = sim::nanoseconds(380);
-
     /** Run software defragmentation (the non-offloaded baseline). */
     bool software_defrag = true;
 };
@@ -57,7 +58,6 @@ class SoftwareReceiveStack
                          CpuDriver& driver, SwStackConfig cfg = {});
 
     uint64_t delivered_payload_bytes() const { return delivered_; }
-    uint64_t delivered_packets() const { return packets_; }
     uint64_t dropped_fragments() const { return dropped_; }
     const sim::RateMeter& meter() const { return meter_; }
 
@@ -71,7 +71,6 @@ class SoftwareReceiveStack
     SwStackConfig cfg_;
     net::IpReassembler reasm_{4096};
     uint64_t delivered_ = 0;
-    uint64_t packets_ = 0;
     uint64_t dropped_ = 0;
     sim::RateMeter meter_;
 };

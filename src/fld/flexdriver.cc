@@ -69,8 +69,7 @@ uint64_t
 FlexDriver::read_processing_ps() const
 {
     // On-the-fly WQE synthesis: a handful of FPGA cycles.
-    return uint64_t(double(cfg_.pipeline_cycles) * 1000.0 /
-                    cfg_.clock_mhz) * 1000;
+    return uint64_t(double(kPipelineCycles) * 1000.0 / kClockMhz) * 1000;
 }
 
 // ---------------------------------------------------------------------

@@ -61,14 +61,18 @@ struct FldConfig
     uint32_t cq_entries = 1024;       ///< per CQ (one TX, one RX)
     uint32_t signal_interval = 16;    ///< selective completion period
     bool wqe_by_mmio = true;          ///< inline lone WQEs in doorbells
-    double clock_mhz = 250.0;         ///< FPGA clock (§6, Table 5)
-    uint32_t pipeline_cycles = 50;    ///< packet-processing latency (250 MHz FPGA)
     /** Flow-directory control plane (0 = disabled, the prototype
      *  default: flow state is the runtime's business unless the
      *  deployment asks FLD to track it on-die). */
     uint64_t flow_capacity = 0;
     uint32_t flow_tenants = 64;
 };
+
+/** FPGA clock in MHz: FLD closes timing at 250 MHz (§6, Table 5). */
+constexpr double kClockMhz = 250.0;
+/** FLD packet-processing latency in clock cycles: the WQE synthesis
+ *  a NIC read waits for (50 cycles = 200 ns at 250 MHz). Chosen here. */
+constexpr uint32_t kPipelineCycles = 50;
 
 /** Flow-directory shards: 0 = auto (see FlowDirectoryConfig). */
 constexpr uint32_t kFlowShards = 0;

@@ -88,12 +88,6 @@ FlowDirectory::shard_size(uint32_t s) const
     return shards_[s].xlt.size();
 }
 
-const CuckooTable&
-FlowDirectory::shard_table(uint32_t s) const
-{
-    return shards_[s].xlt;
-}
-
 FlowDirectory::TenantStats&
 FlowDirectory::tenant_slot(uint16_t t)
 {

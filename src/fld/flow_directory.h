@@ -56,6 +56,10 @@ struct FlowDirectoryConfig
     uint64_t seed = 0x5bd1e995;
 };
 
+/** Fractional gap allowed between the instantiated bytes and the
+ *  analytical memory model (reconcile_with_model). Chosen here. */
+constexpr double kFlowModelTolerance = 0.05;
+
 class FlowDirectory
 {
   public:
@@ -123,7 +127,6 @@ class FlowDirectory
     /** Open flows currently living in shard @p s (tests/telemetry). */
     size_t shard_size(uint32_t s) const;
     uint64_t shard_capacity() const { return shard_capacity_; }
-    const CuckooTable& shard_table(uint32_t s) const;
 
     const TenantStats& tenant(uint16_t t) const;
     const std::vector<TenantStats>& tenants() const { return tenants_; }
@@ -137,8 +140,6 @@ class FlowDirectory
 
     /** Provisioned on-die bytes (all shards + tenants + sketch). */
     size_t memory_bytes() const;
-    /** Packed bytes of the currently *open* flow records. */
-    size_t active_state_bytes() const { return size_ * kFlowStateBytes; }
 
     /**
      * Register the provisioned structures in @p budget under the
@@ -152,10 +153,11 @@ class FlowDirectory
      * Cross-check the instantiated bytes against the analytical
      * model at this directory's resolved geometry. Returns an empty
      * string when every category and the total agree within
-     * @p tolerance (fractional, e.g. 0.05), else a description of
-     * the first divergence.
+     * @p tolerance (fractional), else a description of the first
+     * divergence.
      */
-    std::string reconcile_with_model(double tolerance = 0.05) const;
+    std::string
+    reconcile_with_model(double tolerance = kFlowModelTolerance) const;
 
   private:
     struct FlowSlot

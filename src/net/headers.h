@@ -147,8 +147,9 @@ struct ParsedPacket
 };
 
 /**
- * Parse Ethernet/IPv4/{UDP,TCP}. Does not look inside VXLAN; use
- * parse_inner() on the decapsulated bytes for that. For IP fragments
+ * Parse Ethernet/IPv4/{UDP,TCP}. Does not look inside VXLAN; parse
+ * the vxlan_decapsulate() result (or parse_at() the inner Ethernet
+ * header) for that. For IP fragments
  * with non-zero offset, L4 headers are not parsed (they are only
  * present in the first fragment).
  */

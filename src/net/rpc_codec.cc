@@ -122,7 +122,6 @@ to_string(DecodeError e)
 bool
 FrameDecoder::feed(const uint8_t* data, size_t len)
 {
-    bytes_fed_ += len;
     if (error())
         return false; // sticky: poisoned streams never resync
     buf_.insert(buf_.end(), data, data + len);

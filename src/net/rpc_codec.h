@@ -99,7 +99,6 @@ class FrameDecoder
     size_t buffered() const { return buf_.size() - off_; }
     size_t pending_frames() const { return ready_.size(); }
     uint64_t frames_decoded() const { return frames_decoded_; }
-    uint64_t bytes_fed() const { return bytes_fed_; }
 
     /** Forget buffered bytes, queued frames and any error state. */
     void reset();
@@ -113,7 +112,6 @@ class FrameDecoder
     Fifo<Frame> ready_;
     DecodeError err_ = DecodeError::None;
     uint64_t frames_decoded_ = 0;
-    uint64_t bytes_fed_ = 0;
 };
 
 } // namespace fld::rpc

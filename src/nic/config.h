@@ -27,30 +27,38 @@ constexpr uint32_t kWqeStride = 64;   ///< transmit descriptor size
 constexpr uint32_t kRxDescStride = 16;///< receive descriptor size
 constexpr uint32_t kCqeStride = 64;   ///< completion queue entry size
 
+/** Ethernet port rate in Gbps: 25 GbE per Innova-2 port (§8, Setup). */
+constexpr double kPortGbps = 25.0;
+
+/** One-way wire propagation, back-to-back cable + PHY. Chosen here. */
+constexpr sim::TimePs kWireLatency = sim::nanoseconds(120);
+
+/** Ingress/egress packet-processing latency of the NIC ASIC pipeline.
+ *  Calibrated so a CPU echo RTT lands near Table 6's 2.36 us mean. */
+constexpr sim::TimePs kPipelineLatency = sim::nanoseconds(150);
+
+/** Delay between a doorbell arriving and the WQE fetch issuing.
+ *  Chosen here. */
+constexpr sim::TimePs kDoorbellLatency = sim::nanoseconds(25);
+
+/** WQEs fetched per descriptor-ring read (cache-line batching).
+ *  Chosen here. */
+constexpr uint32_t kWqeFetchBatch = 8;
+
+/** RX descriptors fetched per ring read. Chosen here. */
+constexpr uint32_t kRxDescFetchBatch = 8;
+
+/** RoCE-like ACK coalescing: ack every N packets and on message end.
+ *  Chosen here. */
+constexpr uint32_t kRdmaAckEvery = 16;
+
+/** Max outstanding (unacked) data bytes per RC QP. Chosen here. */
+constexpr uint32_t kRdmaWindowBytes = 256 * 1024;
+
 struct NicConfig
 {
-    /** Ethernet port rate (25 Gbps per Innova-2 port). */
-    double port_gbps = 25.0;
-
-    /** One-way wire propagation (back-to-back cable + PHY). */
-    sim::TimePs wire_latency = sim::nanoseconds(120);
-
-    /** Ingress/egress packet-processing latency of the NIC ASIC
-     *  pipeline. Calibrated so a CPU echo RTT lands near Table 6's
-     *  2.36 us mean. */
-    sim::TimePs pipeline_latency = sim::nanoseconds(150);
-
-    /** Delay between a doorbell arriving and the WQE fetch issuing. */
-    sim::TimePs doorbell_latency = sim::nanoseconds(25);
-
-    /** WQEs fetched per descriptor-ring read (cache-line batching). */
-    uint32_t wqe_fetch_batch = 8;
-
     /** Concurrent outstanding ring reads per queue (DMA pipelining). */
     uint32_t max_fetches_inflight = 16;
-
-    /** RX descriptors fetched per ring read. */
-    uint32_t rx_desc_fetch_batch = 8;
 
     /** RoCE-like transport MTU (1024 B in the paper's remote setup). */
     uint32_t rdma_mtu = 1024;
@@ -58,17 +66,12 @@ struct NicConfig
     /** Go-back-N retransmission timeout. */
     sim::TimePs rdma_retransmit_timeout = sim::microseconds(50);
 
-    /** ACK coalescing: ack every N packets and on message end. */
-    uint32_t rdma_ack_every = 16;
-
-    /** Max outstanding (unacked) data bytes per RC QP. */
-    uint32_t rdma_window_bytes = 256 * 1024;
-
     /**
      * Receive CQE compression ("mini-CQEs"). §8.1 lists this among
      * the NIC optimizations that could further improve small-packet
      * rates but were not enabled in the paper's experiments; it is
-     * off by default here too and studied in bench_ablation.
+     * off by default here too and studied in
+     * `bench_paper --only=ablation`.
      * When on, up to 1+7 receive completions of one CQ coalesce into
      * a single PCIe write: a full 64 B title CQE followed by 16 B
      * mini entries.

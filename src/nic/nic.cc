@@ -234,12 +234,6 @@ NicDevice::set_vport_default_tir(VportId vport, uint32_t tir)
 }
 
 void
-NicDevice::set_vport_rx_table(VportId vport, uint32_t table)
-{
-    vport_rx_table_[vport] = table;
-}
-
-void
 NicDevice::emit(NicEvent::Type type, uint32_t id)
 {
     if (events_)
@@ -301,12 +295,12 @@ NicDevice::doorbell_sq_inline(uint32_t sqn, uint32_t pi, const Wqe& wqe)
     // fetch; otherwise fall back to a normal ring fetch.
     if (pi == sq.fetch_ci + 1 && sq.fetches_inflight == 0) {
         sq.fetch_ci = pi;
-        eq_.schedule_in(cfg_.doorbell_latency, [this, sqn, wqe] {
+        eq_.schedule_in(kDoorbellLatency, [this, sqn, wqe] {
             execute_wqe(sqn, wqe);
         });
         return;
     }
-    eq_.schedule_in(cfg_.doorbell_latency,
+    eq_.schedule_in(kDoorbellLatency,
                     [this, sqn] { maybe_fetch_wqes(sqn); });
 }
 
@@ -330,7 +324,7 @@ NicDevice::doorbell_sq(uint32_t sqn, uint32_t pi)
         return;
     }
     it->second.pi = pi;
-    eq_.schedule_in(cfg_.doorbell_latency,
+    eq_.schedule_in(kDoorbellLatency,
                     [this, sqn] { maybe_fetch_wqes(sqn); });
 }
 
@@ -347,7 +341,7 @@ NicDevice::maybe_fetch_wqes(uint32_t sqn)
     while (sq.fetches_inflight < cfg_.max_fetches_inflight &&
            sq.fetch_ci != sq.pi) {
         uint32_t slot = sq.fetch_ci % sq.cfg.entries;
-        uint32_t n = std::min({cfg_.wqe_fetch_batch,
+        uint32_t n = std::min({kWqeFetchBatch,
                                sq.pi - sq.fetch_ci,
                                sq.cfg.entries - slot});
         sq.fetches_inflight++;
@@ -482,7 +476,7 @@ NicDevice::shaped_egress(uint32_t sqn, net::Packet&& pkt)
     }
     sq.shaper_free_at = start;
 
-    sim::TimePs when = start + cfg_.pipeline_latency;
+    sim::TimePs when = start + kPipelineLatency;
     eq_.schedule_at(when, [this, vport, start_table,
                            pkt = std::move(pkt)]() mutable {
         run_pipeline(std::move(pkt), vport, start_table);
@@ -650,19 +644,6 @@ NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
     fix_checksums(pkt);
 }
 
-bool
-NicDevice::rx_table_matches(uint32_t table, const FlowFields& fields)
-{
-    Pipeline& pipe = steering_pipeline();
-    if (pipe.lookup(table, fields))
-        return true;
-    // A table whose miss path has default actions still steers.
-    const Action* acts = nullptr;
-    size_t count = 0;
-    pipe.default_actions(table, acts, count);
-    return count != 0;
-}
-
 void
 NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt)
 {
@@ -675,14 +656,6 @@ NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt)
     if (pp.eth && pp.eth->ethertype == kEtherTypeRoce) {
         rdma_rx(vport, std::move(pkt));
         return;
-    }
-    auto tit = vport_rx_table_.find(vport);
-    if (tit != vport_rx_table_.end()) {
-        FlowFields fields = FlowFields::of(pkt, vport);
-        if (rx_table_matches(tit->second, fields)) {
-            run_pipeline(std::move(pkt), vport, tit->second);
-            return;
-        }
     }
     auto dit = vport_default_tir_.find(vport);
     if (dit != vport_default_tir_.end()) {
@@ -758,7 +731,7 @@ void
 NicDevice::wire_receive(net::Packet&& pkt)
 {
     stats_.wire_rx_packets++;
-    eq_.schedule_in(cfg_.pipeline_latency,
+    eq_.schedule_in(kPipelineLatency,
                     [this, pkt = std::move(pkt)]() mutable {
                         run_pipeline(std::move(pkt), kUplinkVport, 0);
                     });
@@ -773,7 +746,7 @@ NicDevice::doorbell_rq(uint32_t rqn, uint32_t pi)
         return;
     }
     it->second.pi = pi;
-    eq_.schedule_in(cfg_.doorbell_latency,
+    eq_.schedule_in(kDoorbellLatency,
                     [this, rqn] { maybe_fetch_rx_descs(rqn); });
 }
 
@@ -786,9 +759,9 @@ NicDevice::maybe_fetch_rx_descs(uint32_t rqn)
     RqState& rq = it->second;
     while (rq.fetches_inflight < cfg_.max_fetches_inflight &&
            rq.fetch_ci != rq.pi &&
-           rq.ready.size() < 2 * cfg_.rx_desc_fetch_batch) {
+           rq.ready.size() < 2 * kRxDescFetchBatch) {
         uint32_t slot = rq.fetch_ci % rq.cfg.entries;
-        uint32_t n = std::min({cfg_.rx_desc_fetch_batch,
+        uint32_t n = std::min({kRxDescFetchBatch,
                                rq.pi - rq.fetch_ci,
                                rq.cfg.entries - slot});
         rq.fetches_inflight++;
@@ -1088,7 +1061,7 @@ NicDevice::rdma_send(uint32_t qpn, const Wqe& wqe,
     // Transmit window: hold new messages while too many bytes are
     // unacknowledged (hardware flow control; prevents GBN collapse
     // when the receiver is slow).
-    if (qp.inflight_bytes >= cfg_.rdma_window_bytes) {
+    if (qp.inflight_bytes >= kRdmaWindowBytes) {
         qp.pending.emplace_back(wqe, std::move(payload));
         return;
     }
@@ -1238,7 +1211,7 @@ NicDevice::rdma_rx(VportId vport, net::Packet&& pkt)
 
     // ACK coalescing: ack at message end or every N packets.
     qp.pkts_since_ack++;
-    if (last || qp.pkts_since_ack >= cfg_.rdma_ack_every)
+    if (last || qp.pkts_since_ack >= kRdmaAckEvery)
         rdma_send_ack(qp);
 }
 
@@ -1287,7 +1260,7 @@ NicDevice::rdma_handle_ack(QpState& qp, uint32_t acked_psn)
             else
                 qp.timer_generation++; // cancel
             while (!qp.pending.empty() &&
-                   qp.inflight_bytes < cfg_.rdma_window_bytes) {
+                   qp.inflight_bytes < kRdmaWindowBytes) {
                 auto [wqe, payload] = std::move(qp.pending.front());
                 qp.pending.pop_front();
                 rdma_send(n, wqe, std::move(payload));

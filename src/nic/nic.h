@@ -179,10 +179,8 @@ class NicDevice : public pcie::PcieEndpoint
     /** Late-bind an RQ's descriptor-ring address (control plane). */
     void set_rq_ring_addr(uint32_t rqn, uint64_t addr);
 
-    /** Default delivery for a vport when no rx rule matches. */
+    /** The TIR that receives packets delivered to @p vport. */
     void set_vport_default_tir(VportId vport, uint32_t tir);
-    /** First match-action table packets entering a vport hit. */
-    void set_vport_rx_table(VportId vport, uint32_t table);
 
     using EventHandler = std::function<void(const NicEvent&)>;
     void set_event_handler(EventHandler fn) { events_ = std::move(fn); }
@@ -319,9 +317,6 @@ class NicDevice : public pcie::PcieEndpoint
     /** The explicit program if one is set, else the rules-derived
      *  program (recompiled first when rules changed). */
     Pipeline& steering_pipeline();
-    /** Would run_pipeline find work in @p table for @p fields? Used by
-     *  vport delivery to decide rule steering vs the default TIR. */
-    bool rx_table_matches(uint32_t table, const FlowFields& fields);
     /** Rewrite IPv4 addrs/ports per a NatRewrite-shaped action and fix
      *  the IP header + L4 checksums; no-op on non-IPv4 packets. */
     static void nat_rewrite_packet(net::Packet& pkt, const Action& act);
@@ -363,7 +358,6 @@ class NicDevice : public pcie::PcieEndpoint
     std::map<uint32_t, QpState> qps_;
     std::map<uint32_t, sim::TokenBucket> meters_;
     std::map<VportId, uint32_t> vport_default_tir_;
-    std::map<VportId, uint32_t> vport_rx_table_;
     VportId next_vport_ = 1;
     uint32_t next_id_ = 1;
 };

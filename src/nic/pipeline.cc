@@ -252,12 +252,6 @@ Pipeline::default_actions(uint32_t table, const Action*& acts,
     count = t->default_count;
 }
 
-bool
-Pipeline::has_table(uint32_t table) const
-{
-    return find_table(table) != nullptr;
-}
-
 const std::vector<uint32_t>*
 Pipeline::vip_pool(uint32_t pool_id) const
 {

@@ -202,8 +202,6 @@ class Pipeline
     void default_actions(uint32_t table, const Action*& acts,
                          size_t& count) const;
 
-    bool has_table(uint32_t table) const;
-    size_t table_count() const { return tables_.size(); }
     size_t entry_count() const { return entries_.size(); }
 
     /** Backends of a VIP pool (null when the pool is unknown). */

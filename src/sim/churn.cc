@@ -21,8 +21,8 @@ ChurnGen::ChurnGen(ChurnConfig cfg) : cfg_(cfg), rng_(cfg.seed)
         cfg_.tenants = 1;
     if (cfg_.flows_per_tenant == 0)
         cfg_.flows_per_tenant = 1;
-    if (cfg_.max_bytes < cfg_.min_bytes)
-        cfg_.max_bytes = cfg_.min_bytes;
+    if (cfg_.max_bytes < kChurnMinBytes)
+        cfg_.max_bytes = kChurnMinBytes;
     live_.reserve(target_population());
 }
 
@@ -53,7 +53,7 @@ ChurnGen::pick_live()
 ChurnEvent
 ChurnGen::next()
 {
-    now_ += cfg_.spacing;
+    now_ += kChurnSpacing;
     if (!ramped_) {
         ChurnEvent ev = open_new();
         if (live_.size() >= target_population())
@@ -89,8 +89,7 @@ ChurnGen::next()
     }
 
     const LiveFlow& f = live_[pick_live()];
-    uint32_t bytes = uint32_t(
-        rng_.range(cfg_.min_bytes, cfg_.max_bytes));
+    uint32_t bytes = uint32_t(rng_.range(kChurnMinBytes, cfg_.max_bytes));
     return {now_, ChurnOp::Packet, f.key, f.tenant, bytes, false};
 }
 

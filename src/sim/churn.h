@@ -44,6 +44,12 @@ struct ChurnEvent
     bool fault = false;  ///< injected duplicate-open / stray-close
 };
 
+/** Smallest packet a churn stream records, in bytes: the 64 B
+ *  Ethernet minimum. */
+constexpr uint32_t kChurnMinBytes = 64;
+/** Simulated gap between consecutive churn events. Chosen here. */
+constexpr TimePs kChurnSpacing = 100 * kPsPerNs;
+
 struct ChurnConfig
 {
     uint32_t tenants = 64;
@@ -53,13 +59,10 @@ struct ChurnConfig
     /** Fraction of steady-phase events that are packets; the rest
      *  split evenly between closes and replacement opens. */
     double packet_fraction = 0.8;
-    uint32_t min_bytes = 64;
-    uint32_t max_bytes = 1500;
+    uint32_t max_bytes = 1500; ///< clamped up to kChurnMinBytes
     /** Zipf-style skew for picking the flow a packet lands on:
      *  0 = uniform, larger = heavier head. */
     double skew = 1.2;
-    /** Simulated gap between consecutive events. */
-    TimePs spacing = 100 * kPsPerNs;
     /** Fault injection probabilities (per steady-phase event). */
     double dup_open_prob = 0.0;
     double stray_close_prob = 0.0;

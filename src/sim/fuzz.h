@@ -170,11 +170,6 @@ struct FuzzScenario
     FaultConfig faults; ///< all-zero = perfect world
 
     bool has_faults() const { return faults.enabled(); }
-    /** Faults that can lose a frame outright (drop/corrupt). */
-    bool has_lossy_faults() const
-    {
-        return faults.wire.drop_prob > 0 || faults.wire.corrupt_prob > 0;
-    }
 
     /** Human-readable, replayable dump (one `key = value` per line). */
     std::string to_string() const;

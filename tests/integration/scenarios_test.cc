@@ -168,6 +168,9 @@ TEST(Defrag, HardwareDefragRestoresRss)
     double gbps = s->stack->meter().gbps();
     EXPECT_GT(gbps, 15.0) << "hardware defrag must restore spreading";
     EXPECT_GT(s->defrag->reassembly_stats().packets_out, 1000u);
+    // Every fragment went through the defrag AFU: the stack (software
+    // defrag off) dropped none.
+    EXPECT_EQ(s->stack->dropped_fragments(), 0u);
 
     int active_cores = 0;
     for (uint32_t c = 0; c < s->tb->server_host.cores(); ++c) {
@@ -192,6 +195,7 @@ TEST(Defrag, VxlanDecapBeforeDefrag)
     EXPECT_GT(gbps, 8.0);
     EXPECT_LT(gbps, 23.0);
     EXPECT_GT(s->defrag->reassembly_stats().packets_out, 500u);
+    EXPECT_EQ(s->stack->dropped_fragments(), 0u);
 }
 
 TEST(Iot, ValidTokensPassInvalidDropped)

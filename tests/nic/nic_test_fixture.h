@@ -207,8 +207,8 @@ struct Testbed
                                              host_port, kNic2BarBase,
                                              "nicB", cfg, 0x0100'0000);
             link = std::make_unique<EthernetLink>(
-                eq, a->nic->uplink(), b->nic->uplink(), cfg.port_gbps,
-                cfg.wire_latency);
+                eq, a->nic->uplink(), b->nic->uplink(), kPortGbps,
+                kWireLatency);
         }
     }
 };

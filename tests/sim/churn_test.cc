@@ -73,7 +73,7 @@ TEST(ChurnGen, SteadyStateKeepsPopulationAndTimeMonotonic)
         last = ev.time;
         if (ev.op == ChurnOp::Packet) {
             packets++;
-            ASSERT_GE(ev.bytes, cfg.min_bytes);
+            ASSERT_GE(ev.bytes, kChurnMinBytes);
             ASSERT_LE(ev.bytes, cfg.max_bytes);
         } else if (ev.op == ChurnOp::Open) {
             opens++;
