@@ -80,8 +80,10 @@ struct ZucHeader
 inline std::vector<uint8_t>
 zuc_request(const ZucHeader& hdr, const std::vector<uint8_t>& payload)
 {
+    uint8_t head[kZucHeaderLen];
+    hdr.encode(head);
     std::vector<uint8_t> msg(kZucHeaderLen + payload.size());
-    hdr.encode(msg.data());
+    std::copy(head, head + kZucHeaderLen, msg.begin());
     std::copy(payload.begin(), payload.end(),
               msg.begin() + kZucHeaderLen);
     return msg;

@@ -13,14 +13,15 @@ namespace fld::apps {
 
 AppEmu::AppEmu(sim::EventQueue& eq, driver::FastPath& fp,
                AppEmuConfig cfg)
-    : eq_(eq), fp_(fp), cfg_(cfg)
+    : eq_(eq), fp_(fp), cfg_(cfg),
+      rings_(eq, fp, cfg.tx_ring_entries, cfg.rx_ring_entries,
+             [this] { service(); })
 {
     cfg_.request_bytes =
         std::min(cfg_.request_bytes, fp_.slot_bytes());
     if (cfg_.request_bytes == 0)
         cfg_.request_bytes = 1;
-    app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
-                            [this] { on_notify(); });
+    request_buf_.resize(cfg_.request_bytes);
     slots_.resize(cfg_.connections);
     send_queued_.assign(cfg_.connections, 0);
     total_incarnations_ = cfg_.connections * (cfg_.churn_cycles + 1);
@@ -77,7 +78,7 @@ AppEmu::open_slot(uint32_t slot_index, uint32_t incarnation)
     out.local_port = port_for(slot_index, incarnation);
     outcomes_.push_back(out);
 
-    s.conn_id = fp_.open(app_, slot_index, cfg_.remote_ip,
+    s.conn_id = fp_.open(rings_.app_id(), slot_index, cfg_.remote_ip,
                          cfg_.remote_port, out.local_port);
     if (s.conn_id == driver::FastPath::kNoConn) {
         // 4-tuple still busy (previous incarnation lingering): count
@@ -110,25 +111,10 @@ AppEmu::open_next_batch()
 }
 
 void
-AppEmu::on_notify()
-{
-    // Never touch rings from inside the stack's callback; batch all
-    // work into one event on the queue (naturally coalescing several
-    // notifies into one service pass).
-    if (service_pending_)
-        return;
-    service_pending_ = true;
-    eq_.schedule_in(0, [this] {
-        service_pending_ = false;
-        service();
-    });
-}
-
-void
 AppEmu::service()
 {
     std::vector<uint32_t> touched;
-    while (auto m = fp_.poll_ctrl(app_)) {
+    while (auto m = rings_.next_ctrl()) {
         handle_ctrl(*m);
         auto it = by_conn_.find(m->conn_id);
         if (it != by_conn_.end())
@@ -136,26 +122,17 @@ AppEmu::service()
     }
 
     // Drain TxDone completions.
-    driver::DescRing& rx = fp_.rx_ring(app_);
-    bool drained = false;
-    while (!rx.empty()) {
-        driver::RingDesc d;
-        uint32_t ring_slot = rx.pop(&d);
-        if (d.type == driver::kDescTxDone) {
-            auto it = by_conn_.find(uint32_t(d.opaque));
-            if (it != by_conn_.end()) {
-                Slot& s = slots_[it->second];
-                s.inflight_bytes -= std::min<uint64_t>(
-                    s.inflight_bytes, d.len);
-                outcomes_[s.outcome_index].acked_bytes += d.len;
-                touched.push_back(it->second);
-            }
-        }
-        rx.release(ring_slot);
-        drained = true;
-    }
-    if (drained)
-        fp_.rx_doorbell(app_);
+    rings_.drain([&](const driver::RingDesc& d, const uint8_t*) {
+        if (d.type != driver::kDescTxDone)
+            return;
+        auto it = by_conn_.find(uint32_t(d.opaque));
+        if (it == by_conn_.end())
+            return;
+        Slot& s = slots_[it->second];
+        s.inflight_bytes -= std::min<uint64_t>(s.inflight_bytes, d.len);
+        outcomes_[s.outcome_index].acked_bytes += d.len;
+        touched.push_back(it->second);
+    });
 
     // Closed loop: only touched slots can have become sendable; a
     // full TX ring parks them on the send queue until the next pass.
@@ -167,10 +144,8 @@ AppEmu::service()
             enqueue_send(si);
             maybe_close(si);
         }
-        if (drain_send_queue()) {
-            ++doorbells_;
-            fp_.doorbell(app_);
-        }
+        drain_send_queue();
+        rings_.flush();
     } else {
         for (uint32_t si : touched)
             maybe_close(si);
@@ -189,12 +164,11 @@ AppEmu::enqueue_send(uint32_t slot_index)
     send_queue_.push_back(slot_index);
 }
 
-bool
+void
 AppEmu::drain_send_queue()
 {
-    bool posted = false;
     while (!send_queue_.empty()) {
-        if (fp_.tx_ring(app_).full())
+        if (rings_.tx_full())
             break; // keep the rest queued for the next TxDone drain
         uint32_t si = send_queue_.front();
         send_queue_.pop_front();
@@ -204,9 +178,8 @@ AppEmu::drain_send_queue()
         // it sat on the queue.
         if (s.opened && !s.finished && s.inflight_bytes == 0 &&
             s.requests_posted < cfg_.requests_per_conn)
-            posted |= post_request(si);
+            post_request(si);
     }
-    return posted;
 }
 
 void
@@ -245,34 +218,30 @@ AppEmu::handle_ctrl(const driver::CtrlMsg& m)
     }
 }
 
-bool
+void
 AppEmu::post_request(uint32_t slot_index)
 {
     Slot& s = slots_[slot_index];
-    driver::DescRing& tx = fp_.tx_ring(app_);
-    if (tx.full()) {
+    if (rings_.tx_full()) {
         ++tx_ring_full_;
-        return false;
+        return;
     }
     uint32_t len = cfg_.request_bytes;
-    uint32_t ring_slot = tx.next_slot();
-    uint64_t addr = uint64_t(ring_slot) * fp_.slot_bytes();
-    uint8_t* buf = fp_.tx_arena(app_) + addr;
-    ConnOutcome& out = outcomes_[s.outcome_index];
+    uint8_t* buf = request_buf_.data();
     for (uint32_t j = 0; j < len; ++j)
         buf[j] = pattern_byte(slot_index, s.incarnation,
                               s.requests_posted, j);
 
     driver::RingDesc d;
     d.opaque = s.conn_id;
-    d.addr = addr;
     d.len = len;
     d.flags = driver::kDescFlagPush;
     d.type = driver::kDescData;
-    if (!tx.post(d)) {
+    if (!rings_.post(d, buf)) {
         ++tx_ring_full_;
-        return false;
+        return;
     }
+    ConnOutcome& out = outcomes_[s.outcome_index];
     out.sent_digest =
         sim::fnv1a64(buf, len,
                      out.sent_digest ? out.sent_digest
@@ -280,25 +249,20 @@ AppEmu::post_request(uint32_t slot_index)
     out.sent_bytes += len;
     s.inflight_bytes += len;
     ++s.requests_posted;
-    return true;
 }
 
 void
 AppEmu::pump_sends()
 {
     // Open loop: one request per sendable slot per pacing tick.
-    bool posted = false;
     for (uint32_t si = 0; si < slots_.size(); ++si) {
         Slot& s = slots_[si];
         if (s.opened && !s.finished &&
             s.requests_posted < cfg_.requests_per_conn)
-            posted |= post_request(si);
+            post_request(si);
         maybe_close(si);
     }
-    if (posted) {
-        ++doorbells_;
-        fp_.doorbell(app_);
-    }
+    rings_.flush();
 }
 
 void
@@ -317,34 +281,17 @@ AppEmu::maybe_close(uint32_t slot_index)
 
 SinkApp::SinkApp(sim::EventQueue& eq, driver::FastPath& fp,
                  SinkAppConfig cfg)
-    : eq_(eq), fp_(fp), cfg_(cfg)
+    : rings_(eq, fp, cfg.tx_ring_entries, cfg.rx_ring_entries,
+             [this] { drain(); })
 {
-    app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
-                            [this] { on_notify(); });
-    fp_.listen(cfg_.listen_port, app_);
-}
-
-void
-SinkApp::on_notify()
-{
-    if (drain_pending_)
-        return;
-    drain_pending_ = true;
-    // Drain in a fresh event at the same tick, not inside the notify:
-    // the fast path finishes its delivery first, repeat notifies
-    // coalesce into one drain, and the same-tick event order (which
-    // the digests and pins record) stays as it is.
-    eq_.schedule_in(0, [this] {
-        drain_pending_ = false;
-        drain();
-    });
+    rings_.listen(cfg.listen_port);
 }
 
 void
 SinkApp::drain()
 {
     // Slow path first so data descriptors always find their flow.
-    while (auto m = fp_.poll_ctrl(app_)) {
+    while (auto m = rings_.next_ctrl()) {
         switch (m->type) {
         case driver::CtrlMsg::Type::Accepted: {
             conn_port_[m->conn_id] = m->key.remote_port;
@@ -372,27 +319,18 @@ SinkApp::drain()
         }
     }
 
-    driver::DescRing& rx = fp_.rx_ring(app_);
-    bool drained = false;
-    while (!rx.empty()) {
-        driver::RingDesc d;
-        uint32_t ring_slot = rx.pop(&d);
-        if (d.type == driver::kDescData) {
-            auto it = conn_port_.find(uint32_t(d.opaque));
-            if (it != conn_port_.end()) {
-                SinkFlow& f = flows_[it->second];
-                const uint8_t* bytes = fp_.rx_arena(app_) + d.addr;
-                f.digest = sim::fnv1a64(
-                    bytes, d.len,
-                    f.digest ? f.digest : sim::kFnvBasis);
-                f.bytes += d.len;
-            }
-        }
-        rx.release(ring_slot);
-        drained = true;
-    }
-    if (drained)
-        fp_.rx_doorbell(app_);
+    rings_.drain([this](const driver::RingDesc& d,
+                        const uint8_t* bytes) {
+        if (d.type != driver::kDescData)
+            return;
+        auto it = conn_port_.find(uint32_t(d.opaque));
+        if (it == conn_port_.end())
+            return;
+        SinkFlow& f = flows_[it->second];
+        f.digest = sim::fnv1a64(bytes, d.len,
+                                f.digest ? f.digest : sim::kFnvBasis);
+        f.bytes += d.len;
+    });
 }
 
 } // namespace fld::apps

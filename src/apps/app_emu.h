@@ -18,19 +18,21 @@
  * same digests compared across FLD-driven and CPU-driven runs are the
  * differential oracle.
  *
- * Both apps do all ring work from scheduled events (never from inside
- * the stack's notify callback) so stack code never re-enters itself.
+ * Both apps drive their rings through AppRings, which runs all ring
+ * work from scheduled events (never from inside the stack's notify
+ * callback) so stack code never re-enters itself.
  */
 #ifndef FLD_APPS_APP_EMU_H
 #define FLD_APPS_APP_EMU_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
+#include "apps/app_rings.h"
 #include "driver/fastpath.h"
 #include "sim/event_queue.h"
+#include "util/fifo.h"
 
 namespace fld::apps {
 
@@ -97,9 +99,8 @@ class AppEmu
     {
         return outcomes_;
     }
-    uint64_t doorbells() const { return doorbells_; }
     uint64_t tx_ring_full() const { return tx_ring_full_; }
-    uint32_t app_id() const { return app_; }
+    uint32_t app_id() const { return rings_.app_id(); }
 
     /** Deterministic payload byte for (slot, incarnation, req, j). */
     static uint8_t pattern_byte(uint32_t slot, uint32_t inc,
@@ -124,13 +125,12 @@ class AppEmu
 
     void open_next_batch();
     void pacing_tick();
-    void on_notify();
     void service();
     void handle_ctrl(const driver::CtrlMsg& m);
     void pump_sends();
     void enqueue_send(uint32_t slot_index);
-    bool drain_send_queue();
-    bool post_request(uint32_t slot_index);
+    void drain_send_queue();
+    void post_request(uint32_t slot_index);
     void maybe_close(uint32_t slot_index);
     void open_slot(uint32_t slot_index, uint32_t incarnation);
     uint16_t port_for(uint32_t slot_index, uint32_t incarnation) const;
@@ -138,22 +138,21 @@ class AppEmu
     sim::EventQueue& eq_;
     driver::FastPath& fp_;
     AppEmuConfig cfg_;
-    uint32_t app_ = 0;
+    AppRings rings_;
+    std::vector<uint8_t> request_buf_; ///< one request's pattern bytes
 
     std::vector<Slot> slots_;
     std::map<uint32_t, uint32_t> by_conn_; ///< conn_id -> slot index
     /** Closed loop: slots wanting to send, in FIFO order. A full TX
      *  ring leaves them queued; the next TxDone drain retries. */
-    std::deque<uint32_t> send_queue_;
+    Fifo<uint32_t> send_queue_;
     std::vector<char> send_queued_;
     std::vector<ConnOutcome> outcomes_;
 
     uint32_t opens_issued_ = 0; ///< first-incarnation opens kicked off
     uint32_t done_count_ = 0;
     uint32_t total_incarnations_ = 0;
-    bool service_pending_ = false;
     bool open_loop_timer_ = false;
-    uint64_t doorbells_ = 0;
     uint64_t tx_ring_full_ = 0;
 };
 
@@ -192,23 +191,17 @@ class SinkApp
     uint32_t accepted() const { return accepted_; }
     uint32_t closed() const { return closed_; }
     uint32_t resets() const { return resets_; }
-    uint32_t app_id() const { return app_; }
+    uint32_t app_id() const { return rings_.app_id(); }
 
   private:
-    void on_notify();
     void drain();
 
-    sim::EventQueue& eq_;
-    driver::FastPath& fp_;
-    SinkAppConfig cfg_;
-    uint32_t app_ = 0;
-
+    AppRings rings_;
     std::map<uint32_t, uint16_t> conn_port_; ///< conn_id -> peer port
     std::map<uint16_t, SinkFlow> flows_;
     uint32_t accepted_ = 0;
     uint32_t closed_ = 0;
     uint32_t resets_ = 0;
-    bool drain_pending_ = false;
 };
 
 } // namespace fld::apps

@@ -1,7 +1,6 @@
 #include "apps/rpc_client.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "apps/rpc_service.h" // rpc_execute (shadow oracle), method ids
 #include "sim/fuzz.h"         // fnv1a64
@@ -47,10 +46,11 @@ build_defrag_payload(Rng& rng, uint32_t datum_len)
 
 RpcClientPool::RpcClientPool(sim::EventQueue& eq, driver::FastPath& fp,
                              RpcClientConfig cfg)
-    : eq_(eq), fp_(fp), cfg_(cfg), latency_fold_(sim::kFnvBasis)
+    : eq_(eq), fp_(fp), cfg_(cfg),
+      rings_(eq, fp, cfg.tx_ring_entries, cfg.rx_ring_entries,
+             [this] { service(); }),
+      latency_fold_(sim::kFnvBasis)
 {
-    app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
-                            [this] { on_notify(); });
     for (uint8_t m = 0; m < kRpcMethodCount; ++m)
         if (cfg_.methods_mask & (1u << m))
             enabled_methods_.push_back(m);
@@ -79,8 +79,8 @@ RpcClientPool::open_next_batch()
          ++n) {
         uint32_t i = opens_issued_++;
         Slot& s = slots_[i];
-        s.conn_id = fp_.open(app_, i, cfg_.remote_ip, cfg_.remote_port,
-                             s.port);
+        s.conn_id = fp_.open(rings_.app_id(), i, cfg_.remote_ip,
+                             cfg_.remote_port, s.port);
         if (s.conn_id == driver::FastPath::kNoConn) {
             errors_.push_back(strfmt("slot %u: open() refused", i));
             finish_slot(i, /*aborted=*/true);
@@ -95,53 +95,32 @@ RpcClientPool::open_next_batch()
 }
 
 void
-RpcClientPool::on_notify()
-{
-    if (service_pending_)
-        return;
-    service_pending_ = true;
-    eq_.schedule_in(0, [this] {
-        service_pending_ = false;
-        service();
-    });
-}
-
-void
 RpcClientPool::service()
 {
-    while (auto m = fp_.poll_ctrl(app_))
+    while (auto m = rings_.next_ctrl())
         handle_ctrl(*m);
 
-    // Drain the RX ring: response bytes and TxDone bumps.
-    driver::DescRing& rx = fp_.rx_ring(app_);
-    const uint8_t* arena = fp_.rx_arena(app_);
-    bool released = false;
-    while (!rx.empty()) {
-        driver::RingDesc d;
-        uint32_t slot = rx.pop(&d);
-        if (d.type == driver::kDescData) {
-            auto it = by_conn_.find(uint32_t(d.opaque));
-            if (it != by_conn_.end()) {
-                uint32_t i = it->second;
-                LiveConn& l = *slots_[i].live;
-                if (!l.decoder.feed(arena + d.addr, d.len) &&
-                    !l.error_counted) {
-                    ++stats_.decode_errors;
-                    l.error_counted = true;
-                    errors_.push_back(strfmt(
-                        "slot %u: response stream poisoned (%s)", i,
-                        rpc::to_string(l.decoder.error_code())));
-                }
-                rpc::Frame f;
-                while (l.decoder.next(&f))
-                    on_response(i, std::move(f));
-            }
+    // Drain the RX ring: response bytes (TxDone bumps are ignored).
+    rings_.drain([this](const driver::RingDesc& d,
+                        const uint8_t* bytes) {
+        if (d.type != driver::kDescData)
+            return;
+        auto it = by_conn_.find(uint32_t(d.opaque));
+        if (it == by_conn_.end())
+            return;
+        uint32_t i = it->second;
+        LiveConn& l = *slots_[i].live;
+        if (!l.decoder.feed(bytes, d.len) && !l.error_counted) {
+            ++stats_.decode_errors;
+            l.error_counted = true;
+            errors_.push_back(
+                strfmt("slot %u: response stream poisoned (%s)", i,
+                       rpc::to_string(l.decoder.error_code())));
         }
-        rx.release(slot);
-        released = true;
-    }
-    if (released)
-        fp_.rx_doorbell(app_);
+        rpc::Frame f;
+        while (l.decoder.next(&f))
+            on_response(i, std::move(f));
+    });
 
     pump_pending();
 }
@@ -232,27 +211,22 @@ RpcClientPool::build_request(uint32_t slot_index)
     ++stats_.per_method[method & 7];
     stats_.request_bytes += l.req_payload.size();
 
-    bool posted = false;
-    if (!pump_slot(slot_index, posted))
+    if (!pump_slot(slot_index))
         pending_slots_.push_back(slot_index);
-    if (posted)
-        fp_.doorbell(app_);
+    rings_.flush();
 }
 
 bool
-RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
+RpcClientPool::pump_slot(uint32_t slot_index)
 {
     Slot& s = slots_[slot_index];
     if (s.terminal)
         return true; // finish_slot dropped the queued bytes
     LiveConn& l = *s.live;
-    driver::DescRing& ring = fp_.tx_ring(app_);
-    uint8_t* arena = fp_.tx_arena(app_);
-    const uint32_t slot_bytes = fp_.slot_bytes();
     const uint32_t chunk_max =
         cfg_.tx_chunk_bytes
-            ? std::min(cfg_.tx_chunk_bytes, slot_bytes)
-            : slot_bytes;
+            ? std::min(cfg_.tx_chunk_bytes, rings_.slot_bytes())
+            : rings_.slot_bytes();
 
     while (l.pending_off < l.pending_out.size()) {
         uint32_t remaining =
@@ -262,23 +236,16 @@ RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
         d.type = driver::kDescData;
         d.opaque = s.conn_id;
         d.len = chunk;
-        d.addr = uint64_t(ring.next_slot()) * slot_bytes;
         if (chunk == remaining)
             d.flags = driver::kDescFlagPush;
-        if (!ring.post(d)) {
-            if (posted_any) {
-                fp_.doorbell(app_);
-                posted_any = false;
-                d.addr = uint64_t(ring.next_slot()) * slot_bytes;
-            }
-            if (!ring.post(d)) {
-                ++stats_.tx_ring_full;
-                return false; // retried from the next service()
-            }
+        // A full ring: consume what this pass posted (the stack frees
+        // the slots at the doorbell) and retry once.
+        const uint8_t* bytes = l.pending_out.data() + l.pending_off;
+        if (!(rings_.post(d, bytes) ||
+              (rings_.flush() && rings_.post(d, bytes)))) {
+            ++stats_.tx_ring_full;
+            return false; // retried from the next service()
         }
-        std::memcpy(arena + d.addr,
-                    l.pending_out.data() + l.pending_off, chunk);
-        posted_any = true;
         l.pending_off += chunk;
     }
     l.pending_out.clear();
@@ -289,16 +256,14 @@ RpcClientPool::pump_slot(uint32_t slot_index, bool& posted_any)
 void
 RpcClientPool::pump_pending()
 {
-    bool posted = false;
     size_t n = pending_slots_.size();
     for (size_t k = 0; k < n; ++k) {
         uint32_t i = pending_slots_.front();
         pending_slots_.pop_front();
-        if (!pump_slot(i, posted))
+        if (!pump_slot(i))
             pending_slots_.push_back(i);
     }
-    if (posted)
-        fp_.doorbell(app_);
+    rings_.flush();
 }
 
 void

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "apps/app_rings.h"
 #include "driver/fastpath.h"
 #include "net/rpc_codec.h"
 #include "sim/stats.h"
@@ -101,7 +102,7 @@ class RpcClientPool
      *  bit-identical-rerun check for the timing dimension. */
     uint64_t latency_fold() const { return latency_fold_; }
     const std::vector<std::string>& errors() const { return errors_; }
-    uint32_t app_id() const { return app_; }
+    uint32_t app_id() const { return rings_.app_id(); }
     /** Connections opened and not yet finished (Closed/Reset). */
     size_t live_conns() const { return by_conn_.size(); }
 
@@ -136,13 +137,12 @@ class RpcClientPool
     };
 
     void open_next_batch();
-    void on_notify();
     void service();
     void handle_ctrl(const driver::CtrlMsg& m);
     void schedule_next_request(uint32_t slot_index);
     void build_request(uint32_t slot_index);
     /** Post queued request bytes; true when fully posted. */
-    bool pump_slot(uint32_t slot_index, bool& posted_any);
+    bool pump_slot(uint32_t slot_index);
     void pump_pending();
     void on_response(uint32_t slot_index, rpc::Frame&& f);
     void finish_slot(uint32_t slot_index, bool aborted);
@@ -150,7 +150,7 @@ class RpcClientPool
     sim::EventQueue& eq_;
     driver::FastPath& fp_;
     RpcClientConfig cfg_;
-    uint32_t app_ = 0;
+    AppRings rings_;
 
     /** Method ids methods_mask enables, in id order. */
     std::vector<uint8_t> enabled_methods_;
@@ -160,7 +160,6 @@ class RpcClientPool
     Fifo<uint32_t> pending_slots_; ///< blocked on a full TX ring
     uint32_t opens_issued_ = 0;
     uint32_t done_count_ = 0;
-    bool service_pending_ = false;
 
     std::map<uint64_t, uint64_t> digests_;
     sim::Histogram latency_;

@@ -186,11 +186,11 @@ RpcDispatcher::dispatch(rpc::Frame&& request, Completion done)
 
 RpcServer::RpcServer(sim::EventQueue& eq, driver::FastPath& fp,
                      RpcServerConfig cfg)
-    : eq_(eq), fp_(fp), cfg_(cfg), disp_(eq, cfg.service)
+    : eq_(eq), fp_(fp), cfg_(cfg), disp_(eq, cfg.service),
+      rings_(eq, fp, cfg.tx_ring_entries, cfg.rx_ring_entries,
+             [this] { service(); })
 {
-    app_ = fp_.register_app(cfg_.tx_ring_entries, cfg_.rx_ring_entries,
-                            [this] { on_notify(); });
-    fp_.listen(cfg_.listen_port, app_);
+    rings_.listen(cfg_.listen_port);
 }
 
 bool
@@ -205,18 +205,6 @@ RpcServer::idle() const
 }
 
 void
-RpcServer::on_notify()
-{
-    if (service_pending_)
-        return;
-    service_pending_ = true;
-    eq_.schedule_in(0, [this] {
-        service_pending_ = false;
-        service();
-    });
-}
-
-void
 RpcServer::service()
 {
     drain_ctrl();
@@ -227,7 +215,7 @@ RpcServer::service()
 void
 RpcServer::drain_ctrl()
 {
-    while (auto m = fp_.poll_ctrl(app_)) {
+    while (auto m = rings_.next_ctrl()) {
         switch (m->type) {
         case driver::CtrlMsg::Type::Accepted:
             ++stats_.accepted;
@@ -256,36 +244,29 @@ RpcServer::drain_ctrl()
 void
 RpcServer::drain_rx()
 {
-    driver::DescRing& rx = fp_.rx_ring(app_);
-    const uint8_t* arena = fp_.rx_arena(app_);
-    bool released = false;
-    while (!rx.empty()) {
-        driver::RingDesc d;
-        uint32_t slot = rx.pop(&d);
-        if (d.type == driver::kDescData) {
-            auto it = conns_.find(uint32_t(d.opaque));
-            if (it != conns_.end()) {
-                Conn& c = it->second;
-                if (!c.decoder.feed(arena + d.addr, d.len) &&
-                    !c.error_counted) {
-                    // Poisoned stream: count once, then ignore the
-                    // connection's bytes forever (sticky decoder).
-                    ++stats_.decode_errors;
-                    c.error_counted = true;
-                }
-                rpc::Frame f;
-                while (c.decoder.next(&f))
-                    on_request(uint32_t(d.opaque), std::move(f));
-            }
-        } else if (d.type == driver::kDescTxDone &&
-                   (d.flags & driver::kDescFlagTxTag)) {
-            ++stats_.responses_acked;
+    rings_.drain([this](const driver::RingDesc& d,
+                        const uint8_t* bytes) {
+        if (d.type == driver::kDescTxDone) {
+            if (d.flags & driver::kDescFlagTxTag)
+                ++stats_.responses_acked;
+            return;
         }
-        rx.release(slot);
-        released = true;
-    }
-    if (released)
-        fp_.rx_doorbell(app_); // freed slots: unpark deliveries
+        if (d.type != driver::kDescData)
+            return;
+        auto it = conns_.find(uint32_t(d.opaque));
+        if (it == conns_.end())
+            return;
+        Conn& c = it->second;
+        if (!c.decoder.feed(bytes, d.len) && !c.error_counted) {
+            // Poisoned stream: count once, then ignore the
+            // connection's bytes forever (sticky decoder).
+            ++stats_.decode_errors;
+            c.error_counted = true;
+        }
+        rpc::Frame f;
+        while (c.decoder.next(&f))
+            on_request(uint32_t(d.opaque), std::move(f));
+    });
 }
 
 void
@@ -309,14 +290,10 @@ RpcServer::on_request(uint32_t conn_id, rpc::Frame&& f)
 void
 RpcServer::pump_tx()
 {
-    driver::DescRing& ring = fp_.tx_ring(app_);
-    uint8_t* arena = fp_.tx_arena(app_);
-    const uint32_t slot_bytes = fp_.slot_bytes();
     const uint32_t chunk_max =
         cfg_.tx_chunk_bytes
-            ? std::min(cfg_.tx_chunk_bytes, slot_bytes)
-            : slot_bytes;
-    bool posted = false;
+            ? std::min(cfg_.tx_chunk_bytes, rings_.slot_bytes())
+            : rings_.slot_bytes();
 
     while (!send_ready_.empty()) {
         uint32_t id = send_ready_.front();
@@ -334,7 +311,6 @@ RpcServer::pump_tx()
         d.type = driver::kDescData;
         d.opaque = id;
         d.len = chunk;
-        d.addr = uint64_t(ring.next_slot()) * slot_bytes;
         bool last = chunk == remaining;
         if (last) {
             // Tag the final descriptor: its TxDone confirms the whole
@@ -342,31 +318,21 @@ RpcServer::pump_tx()
             d.flags = driver::kDescFlagPush | driver::kDescFlagTxTag;
             d.tag = ++response_seq_;
         }
-        if (!ring.post(d)) {
-            // Consume what is queued (slots free immediately: the
-            // stack copies payloads at the doorbell) and retry once.
-            if (posted) {
-                fp_.doorbell(app_);
-                posted = false;
-                d.addr = uint64_t(ring.next_slot()) * slot_bytes;
+        // A full ring: consume what this pass posted (the stack frees
+        // the slots at the doorbell) and retry once.
+        const uint8_t* bytes = resp.data() + c.out_head_off;
+        if (!(rings_.post(d, bytes) ||
+              (rings_.flush() && rings_.post(d, bytes)))) {
+            ++stats_.tx_ring_full;
+            if (!retry_armed_) {
+                retry_armed_ = true;
+                eq_.schedule_in(sim::microseconds(1), [this] {
+                    retry_armed_ = false;
+                    pump_tx();
+                });
             }
-            if (!ring.post(d)) {
-                ++stats_.tx_ring_full;
-                if (!retry_armed_) {
-                    retry_armed_ = true;
-                    eq_.schedule_in(sim::microseconds(1), [this] {
-                        retry_armed_ = false;
-                        pump_tx();
-                    });
-                }
-                break;
-            }
+            break;
         }
-        // Fill the arena only after the slot is ours: a failed post
-        // means the slot may still back an unconsumed descriptor.
-        std::memcpy(arena + d.addr, resp.data() + c.out_head_off,
-                    chunk);
-        posted = true;
         c.out_head_off += chunk;
         if (last) {
             c.out.pop_front();
@@ -380,8 +346,7 @@ RpcServer::pump_tx()
                 c.ready = false;
         }
     }
-    if (posted)
-        fp_.doorbell(app_);
+    rings_.flush();
 }
 
 } // namespace fld::apps

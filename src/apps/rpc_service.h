@@ -23,6 +23,7 @@
 #include <map>
 #include <vector>
 
+#include "apps/app_rings.h"
 #include "driver/fastpath.h"
 #include "net/rpc_codec.h"
 #include "sim/event_queue.h"
@@ -172,7 +173,7 @@ class RpcServer
 
     const RpcServerStats& stats() const { return stats_; }
     const RpcDispatcher& dispatcher() const { return disp_; }
-    uint32_t app_id() const { return app_; }
+    uint32_t app_id() const { return rings_.app_id(); }
     /** No queued responses and no handler in flight. */
     bool idle() const;
     /** Connections accepted and not yet Closed/Reset. */
@@ -190,7 +191,6 @@ class RpcServer
         bool ready = false; ///< queued on send_ready_
     };
 
-    void on_notify();
     void service();
     void drain_ctrl();
     void drain_rx();
@@ -201,13 +201,12 @@ class RpcServer
     driver::FastPath& fp_;
     RpcServerConfig cfg_;
     RpcDispatcher disp_;
-    uint32_t app_ = 0;
+    AppRings rings_;
 
     std::map<uint32_t, Conn> conns_;
     /** Connections with queued output, FIFO, no duplicates among live
      *  ones; ids of erased connections are skipped when reached. */
     Fifo<uint32_t> send_ready_;
-    bool service_pending_ = false;
     bool retry_armed_ = false;
     uint32_t response_seq_ = 0; ///< tags for tagged TxDone completions
     RpcServerStats stats_;

@@ -69,7 +69,7 @@ NicDevice::create_cq(const CqConfig& cfg)
     if (!is_pow2(cfg.entries))
         fatal("create_cq: entries must be a power of two");
     uint32_t cqn = next_id_++;
-    cqs_[cqn] = CqState{cfg, 0};
+    cqs_[cqn].cfg = cfg;
     return cqn;
 }
 
@@ -859,15 +859,15 @@ NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
             cqe.flags |= kCqeL4Ok;
         if (pkt.meta.tunneled)
             cqe.flags |= kCqeTunneled;
-        {
-            net::ParsedPacket pp = net::parse(pkt);
-            if (pp.is_ip_fragment())
+        if (!rdma_info) {
+            // An RDMA completion carries message payload, not a frame:
+            // only Ethernet completions are parsed for IP fragments.
+            if (net::parse(pkt).is_ip_fragment())
                 cqe.flags |= kCqeIpFrag;
-        }
-        // FLD-E resume table rides in the unused msg_offset field for
-        // Ethernet completions.
-        if (!rdma_info)
+            // FLD-E resume table rides in the unused msg_offset field
+            // for Ethernet completions.
             cqe.msg_offset = pkt.meta.next_table;
+        }
         cqe.corr = pkt.meta.corr;
 
         stats_.rx_packets++;
@@ -1008,30 +1008,29 @@ NicDevice::inject_qp_error(uint32_t qpn)
         TxMsg msg = std::move(qp.inflight.front());
         qp.inflight.pop_front();
         qp.inflight_bytes -= msg.len;
-        Cqe cqe;
-        cqe.opcode = CqeOpcode::Error;
-        cqe.qpn = qpn;
-        cqe.wqe_counter = msg.wqe.wqe_index;
-        cqe.msg_id = msg.wqe.msg_id;
-        cqe.corr = msg.wqe.corr;
-        auto sit = sqs_.find(qp.cfg.sqn);
-        if (sit != sqs_.end())
-            write_cqe(sit->second.cfg.cqn, cqe);
+        complete_with_error(qpn, qp, msg.wqe);
     }
     // Window-held messages flush with error completions too.
     while (!qp.pending.empty()) {
         auto [wqe, payload] = std::move(qp.pending.front());
         qp.pending.pop_front();
-        Cqe cqe;
-        cqe.opcode = CqeOpcode::Error;
-        cqe.qpn = qpn;
-        cqe.wqe_counter = wqe.wqe_index;
-        cqe.msg_id = wqe.msg_id;
-        cqe.corr = wqe.corr;
-        auto sit = sqs_.find(qp.cfg.sqn);
-        if (sit != sqs_.end())
-            write_cqe(sit->second.cfg.cqn, cqe);
+        complete_with_error(qpn, qp, wqe);
     }
+}
+
+void
+NicDevice::complete_with_error(uint32_t qpn, const QpState& qp,
+                               const Wqe& wqe)
+{
+    Cqe cqe;
+    cqe.opcode = CqeOpcode::Error;
+    cqe.qpn = qpn;
+    cqe.wqe_counter = wqe.wqe_index;
+    cqe.msg_id = wqe.msg_id;
+    cqe.corr = wqe.corr;
+    auto sit = sqs_.find(qp.cfg.sqn);
+    if (sit != sqs_.end())
+        write_cqe(sit->second.cfg.cqn, cqe);
 }
 
 void
@@ -1046,15 +1045,7 @@ NicDevice::rdma_send(uint32_t qpn, const Wqe& wqe,
     QpState& qp = it->second;
     if (qp.in_error) {
         // Error-state QP: complete immediately with an error CQE.
-        Cqe cqe;
-        cqe.opcode = CqeOpcode::Error;
-        cqe.qpn = qpn;
-        cqe.wqe_counter = wqe.wqe_index;
-        cqe.msg_id = wqe.msg_id;
-        cqe.corr = wqe.corr;
-        auto sit = sqs_.find(qp.cfg.sqn);
-        if (sit != sqs_.end())
-            write_cqe(sit->second.cfg.cqn, cqe);
+        complete_with_error(qpn, qp, wqe);
         return;
     }
 
@@ -1155,7 +1146,7 @@ NicDevice::rdma_rx(VportId vport, net::Packet&& pkt)
     if (qp.in_error)
         return;
     if (hdr.opcode == RdmaOpcode::Ack) {
-        rdma_handle_ack(qp, hdr.psn);
+        rdma_handle_ack(hdr.dst_qpn, qp, hdr.psn);
         return;
     }
 
@@ -1238,7 +1229,8 @@ NicDevice::rdma_send_ack(QpState& qp)
 }
 
 void
-NicDevice::rdma_handle_ack(QpState& qp, uint32_t acked_psn)
+NicDevice::rdma_handle_ack(uint32_t qpn, QpState& qp,
+                           uint32_t acked_psn)
 {
     if (acked_psn <= qp.acked_psn)
         return; // stale
@@ -1253,20 +1245,14 @@ NicDevice::rdma_handle_ack(QpState& qp, uint32_t acked_psn)
     }
     // Progress resets the retransmit clock; window space may free
     // held messages.
-    for (auto& [n, state] : qps_) {
-        if (&state == &qp) {
-            if (!qp.inflight.empty())
-                arm_retransmit_timer(n);
-            else
-                qp.timer_generation++; // cancel
-            while (!qp.pending.empty() &&
-                   qp.inflight_bytes < kRdmaWindowBytes) {
-                auto [wqe, payload] = std::move(qp.pending.front());
-                qp.pending.pop_front();
-                rdma_send(n, wqe, std::move(payload));
-            }
-            break;
-        }
+    if (!qp.inflight.empty())
+        arm_retransmit_timer(qpn);
+    else
+        qp.timer_generation++; // cancel
+    while (!qp.pending.empty() && qp.inflight_bytes < kRdmaWindowBytes) {
+        auto [wqe, payload] = std::move(qp.pending.front());
+        qp.pending.pop_front();
+        rdma_send(qpn, wqe, std::move(payload));
     }
 }
 

@@ -323,7 +323,10 @@ class NicDevice : public pcie::PcieEndpoint
 
     // rdma
     void rdma_rx(VportId vport, net::Packet&& pkt);
-    void rdma_handle_ack(QpState& qp, uint32_t acked_psn);
+    void rdma_handle_ack(uint32_t qpn, QpState& qp, uint32_t acked_psn);
+    /** Complete @p wqe of @p qpn with an error CQE on its SQ's CQ. */
+    void complete_with_error(uint32_t qpn, const QpState& qp,
+                             const Wqe& wqe);
     void rdma_send_ack(QpState& qp);
     void arm_retransmit_timer(uint32_t qpn);
     void retransmit(uint32_t qpn);

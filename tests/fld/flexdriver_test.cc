@@ -506,7 +506,7 @@ TEST(FlexDriverFlows, DirectoryLearnsDatapathFlows)
     // still reconciles with the analytical model.
     EXPECT_GT(tb.fld->mem_budget().of("flow state pool (24 B/flow)"),
               0u);
-    EXPECT_EQ(dir.reconcile_with_model(0.05), "");
+    EXPECT_EQ(dir.reconcile_with_model(), "");
 
     // The heavy-hitter sketch saw the same traffic.
     ASSERT_NE(dir.sketch(), nullptr);

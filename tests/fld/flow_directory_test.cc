@@ -171,13 +171,13 @@ TEST(FlowDirectory, ReconcilesWithMemoryModel)
 {
     for (uint64_t flows : {1024ull, 65536ull, 262144ull}) {
         FlowDirectory d({.flow_capacity = flows});
-        EXPECT_EQ(d.reconcile_with_model(0.05), "")
+        EXPECT_EQ(d.reconcile_with_model(), "")
             << "at " << flows << " flows";
     }
     // Sketch-less geometry reconciles too.
     FlowDirectory plain(
         {.flow_capacity = 4096, .sketch_enabled = false});
-    EXPECT_EQ(plain.reconcile_with_model(0.05), "");
+    EXPECT_EQ(plain.reconcile_with_model(), "");
 }
 
 TEST(FlowDirectory, SketchSeesRecordedBytes)

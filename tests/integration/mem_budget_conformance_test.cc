@@ -46,7 +46,7 @@ TEST(MemBudgetConformance, FlowDirectoryMatchesModelAtEveryScale)
         SCOPED_TRACE(testing::Message() << flows << " flows");
 
         // Category-by-category reconciliation within 5%.
-        EXPECT_EQ(dir.reconcile_with_model(0.05), "");
+        EXPECT_EQ(dir.reconcile_with_model(), "");
 
         // The budget registration covers every instantiated byte.
         core::MemBudget budget;
@@ -79,7 +79,7 @@ TEST(MemBudgetConformance, MillionFlowDirectoryIsHonestAboutSram)
     dir.attach_budget(budget);
     EXPECT_GT(budget.total(), core::kXcku15pBytes);
     EXPECT_FALSE(budget.fits_on_chip());
-    EXPECT_EQ(dir.reconcile_with_model(0.05), "");
+    EXPECT_EQ(dir.reconcile_with_model(), "");
 }
 
 // --------------------------------------------------------------------
@@ -158,7 +158,7 @@ TEST(MemBudgetConformance, PaperConfigPlusFlowDirectoryFitsOnChip)
         << "paper config + 100k flows uses " << b.total() << " B of "
         << core::kXcku15pBytes;
     ASSERT_NE(fld.flow_directory(), nullptr);
-    EXPECT_EQ(fld.flow_directory()->reconcile_with_model(0.05), "");
+    EXPECT_EQ(fld.flow_directory()->reconcile_with_model(), "");
 }
 
 } // namespace

@@ -74,9 +74,17 @@ struct RdmaFixture
     /** Post an RDMA SEND of @p len bytes on the client QP. */
     std::vector<uint8_t> post_send(uint32_t len, uint32_t msg_id)
     {
-        auto& a = *tb.a;
         std::vector<uint8_t> payload(len);
         std::iota(payload.begin(), payload.end(), uint8_t(msg_id));
+        post_send(payload, msg_id);
+        return payload;
+    }
+
+    /** Post an RDMA SEND of @p payload on the client QP. */
+    void post_send(const std::vector<uint8_t>& payload, uint32_t msg_id)
+    {
+        auto& a = *tb.a;
+        uint32_t len = uint32_t(payload.size());
         uint64_t buf = a.alloc(len ? len : 1);
         if (len)
             std::memcpy(tb.hostmem.raw(buf, len), payload.data(), len);
@@ -96,7 +104,6 @@ struct RdmaFixture
                     enc, kWqeStride);
         a_sq.pi++;
         a.ring_sq_doorbell(a_sq);
-        return payload;
     }
 };
 
@@ -181,6 +188,27 @@ TEST(Rdma, ZeroLengthMessage)
     EXPECT_EQ(f.b_cqes[0].byte_count, 0u);
     EXPECT_TRUE(f.b_cqes[0].flags & kCqeRdmaLast);
     ASSERT_EQ(f.a_cqes.size(), 1u);
+}
+
+TEST(Rdma, PayloadThatLooksLikeIpFragmentIsNotFlagged)
+{
+    // An RDMA completion describes message payload, not a frame. This
+    // payload would parse as an Ethernet/IPv4 fragment: ethertype
+    // 08 00 at bytes 12-13, an IPv4 header at 14, MF set in 20-21.
+    std::vector<uint8_t> payload(64, 0);
+    payload[12] = 0x08;
+    payload[13] = 0x00;
+    payload[14] = 0x45;
+    payload[17] = 50; // total length
+    payload[20] = 0x20;
+    RdmaFixture f;
+    f.post_send(payload, 7);
+    f.tb.eq.run();
+
+    ASSERT_EQ(f.b_cqes.size(), 1u);
+    EXPECT_EQ(f.b_cqes[0].opcode, CqeOpcode::Rx);
+    EXPECT_EQ(f.b_cqes[0].byte_count, 64u);
+    EXPECT_FALSE(f.b_cqes[0].flags & kCqeIpFrag);
 }
 
 TEST(Rdma, ReceiverNotReadyRecoversByRetransmission)
