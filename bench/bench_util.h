@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "apps/scenarios.h"
+#include "net/headers.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -360,15 +361,19 @@ struct EngineSample
     double wall_sec = 0;      ///< host seconds spent inside the run
     uint64_t events = 0;      ///< engine events executed during the run
     uint64_t packets = 0;     ///< packets delivered during the run
+    uint64_t echoes = 0;      ///< echoes the generator got back in all
+    uint64_t parses = 0;      ///< net::parse calls the run made
     sim::TimePs sim_time = 0; ///< simulated time the run advanced
     WheelStats wheel; ///< counters over the run (max_bucket: lifetime)
 };
 
-/** Run @p eq to completion, sampling the engine around it (packets
- *  is left to the caller). */
+/** Run @p eq to completion, sampling the engine and this thread's
+ *  parse counter around it (packets and echoes are left to the
+ *  caller). */
 inline EngineSample
 run_sampled(sim::EventQueue& eq)
 {
+    uint64_t parses0 = net::parse_count();
     uint64_t events0 = eq.executed_total();
     sim::TimePs sim0 = eq.now();
     WheelStats w0 = eq.wheel_stats();
@@ -379,6 +384,7 @@ run_sampled(sim::EventQueue& eq)
                      std::chrono::steady_clock::now() - t0)
                      .count();
     s.events = eq.executed_total() - events0;
+    s.parses = net::parse_count() - parses0;
     s.sim_time = eq.now() - sim0;
     const WheelStats& w1 = eq.wheel_stats();
     WheelStats& w = s.wheel;
@@ -427,6 +433,7 @@ run_echo(bool fld, bool remote, const apps::PktGenConfig& g,
         s->gen->start(warmup, duration);
         EngineSample e = run_sampled(s->tb->eq);
         e.packets = s->gen->rx_meter().packets();
+        e.echoes = s->gen->rx_count();
         if (engine)
             *engine = e;
         return measure(*s);

@@ -243,6 +243,12 @@ fastpath(Run& run)
         run.report.count(p + "events", rep.events, "events");
         run.report.count(p + "packets", rep.server_stats.frames_rx,
                          "packets");
+        // Header parses per frame either stack received.
+        run.report.real(p + "parses_per_frame",
+                        double(rep.parses) /
+                            double(rep.client_stats.frames_rx +
+                                   rep.server_stats.frames_rx),
+                        "parses");
         run.report.real(p + "wall_sec", rep.run_wall_sec, "s", Gate::None);
         run.report.real(p + "events_per_sec",
                         double(rep.events) / rep.run_wall_sec, "1/s",

@@ -229,12 +229,14 @@ ServeHarness::run(const std::function<void()>& start)
 {
     tb_.eq.run(); // settle descriptor prefetch before traffic
     events0_ = tb_.eq.executed_total();
+    uint64_t parses0 = net::parse_count();
     auto wall0 = std::chrono::steady_clock::now();
     start();
     tb_.eq.run();
     run_wall_sec_ = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
+    parses_ = net::parse_count() - parses0;
     if (trace_)
         tracer_.uninstall();
 }
@@ -245,6 +247,7 @@ ServeHarness::finish(ServeReport& r, bool server_app_idle)
     r.end_time = tb_.eq.now();
     r.events = tb_.eq.executed_total() - events0_;
     r.run_wall_sec = run_wall_sec_;
+    r.parses = parses_;
     r.client_stats = client_fp_->stats();
     r.server_stats = server_fp_->stats();
     r.client_quiesced = client_fp_->quiesced();

@@ -68,6 +68,9 @@ struct ServeReport
      *  wall time never feeds back into the simulation). */
     uint64_t events = 0;
     double run_wall_sec = 0;
+    /** net::parse calls the traffic phase made (counted on the thread
+     *  that ran it; observation only, not in state_hash). */
+    uint64_t parses = 0;
     /** Every observable counter folded in: the bit-identical-rerun
      *  oracle value (identical across same-config runs). */
     uint64_t state_hash = 0;
@@ -110,6 +113,7 @@ class ServeHarness
     std::unique_ptr<driver::CpuDriver> server_drv_; ///< CPU mode
     uint64_t events0_ = 0;
     double run_wall_sec_ = 0;
+    uint64_t parses_ = 0;
 };
 
 } // namespace fld::apps

@@ -165,9 +165,20 @@ ArpHeader::decode(const uint8_t* in, size_t len)
     return h;
 }
 
+namespace {
+thread_local uint64_t parse_calls = 0;
+} // namespace
+
+uint64_t
+parse_count()
+{
+    return parse_calls;
+}
+
 ParsedPacket
 parse_at(const Packet& pkt, size_t offset)
 {
+    ++parse_calls;
     ParsedPacket out;
     const uint8_t* p = pkt.bytes();
     size_t len = pkt.size();

@@ -159,6 +159,13 @@ ParsedPacket parse(const Packet& pkt);
 ParsedPacket parse_at(const Packet& pkt, size_t offset);
 
 /**
+ * parse()/parse_at() calls made on the calling thread so far. A
+ * host-independent cost counter: benches read it before and after a
+ * run in the thread that runs it, so parallel rows never mix counts.
+ */
+uint64_t parse_count();
+
+/**
  * Convenience builder assembling Ethernet/IPv4/{UDP,TCP}/payload
  * packets with correct lengths and checksums.
  */
