@@ -122,7 +122,7 @@ RpcClientPool::service()
             on_response(i, std::move(f));
     });
 
-    pump_pending();
+    rings_.flush();
 }
 
 void
@@ -211,17 +211,16 @@ RpcClientPool::build_request(uint32_t slot_index)
     ++stats_.per_method[method & 7];
     stats_.request_bytes += l.req_payload.size();
 
-    if (!pump_slot(slot_index))
-        pending_slots_.push_back(slot_index);
+    pump_slot(slot_index);
     rings_.flush();
 }
 
-bool
+void
 RpcClientPool::pump_slot(uint32_t slot_index)
 {
     Slot& s = slots_[slot_index];
     if (s.terminal)
-        return true; // finish_slot dropped the queued bytes
+        return; // finish_slot dropped the queued bytes
     LiveConn& l = *s.live;
     const uint32_t chunk_max =
         cfg_.tx_chunk_bytes
@@ -239,31 +238,16 @@ RpcClientPool::pump_slot(uint32_t slot_index)
         if (chunk == remaining)
             d.flags = driver::kDescFlagPush;
         // A full ring: consume what this pass posted (the stack frees
-        // the slots at the doorbell) and retry once.
+        // the slots at the doorbell), after which the post must land.
         const uint8_t* bytes = l.pending_out.data() + l.pending_off;
-        if (!(rings_.post(d, bytes) ||
-              (rings_.flush() && rings_.post(d, bytes)))) {
-            ++stats_.tx_ring_full;
-            return false; // retried from the next service()
-        }
+        if (!rings_.post(d, bytes) &&
+            !(rings_.flush() && rings_.post(d, bytes)))
+            panic("RpcClientPool: TX post refused after flush(); the "
+                  "doorbell must release every TX slot");
         l.pending_off += chunk;
     }
     l.pending_out.clear();
     l.pending_off = 0;
-    return true;
-}
-
-void
-RpcClientPool::pump_pending()
-{
-    size_t n = pending_slots_.size();
-    for (size_t k = 0; k < n; ++k) {
-        uint32_t i = pending_slots_.front();
-        pending_slots_.pop_front();
-        if (!pump_slot(i))
-            pending_slots_.push_back(i);
-    }
-    rings_.flush();
 }
 
 void

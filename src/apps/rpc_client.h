@@ -76,6 +76,8 @@ struct RpcClientStats
     uint64_t conformance_errors = 0; ///< response != shadow oracle
     uint64_t protocol_errors = 0;    ///< wrong/unexpected request_id
     uint64_t decode_errors = 0;
+    /** Always 0: a post refused on a full TX ring lands after
+     *  flush(), whose doorbell releases every slot. */
     uint64_t tx_ring_full = 0;
     uint64_t per_method[8] = {};
 };
@@ -141,9 +143,8 @@ class RpcClientPool
     void handle_ctrl(const driver::CtrlMsg& m);
     void schedule_next_request(uint32_t slot_index);
     void build_request(uint32_t slot_index);
-    /** Post queued request bytes; true when fully posted. */
-    bool pump_slot(uint32_t slot_index);
-    void pump_pending();
+    /** Post the slot's queued request bytes, all of them. */
+    void pump_slot(uint32_t slot_index);
     void on_response(uint32_t slot_index, rpc::Frame&& f);
     void finish_slot(uint32_t slot_index, bool aborted);
 
@@ -157,7 +158,6 @@ class RpcClientPool
     std::vector<Slot> slots_;
     /** conn id -> slot, for live connections only. */
     std::map<uint32_t, uint32_t> by_conn_;
-    Fifo<uint32_t> pending_slots_; ///< blocked on a full TX ring
     uint32_t opens_issued_ = 0;
     uint32_t done_count_ = 0;
 

@@ -319,20 +319,12 @@ RpcServer::pump_tx()
             d.tag = ++response_seq_;
         }
         // A full ring: consume what this pass posted (the stack frees
-        // the slots at the doorbell) and retry once.
+        // the slots at the doorbell), after which the post must land.
         const uint8_t* bytes = resp.data() + c.out_head_off;
-        if (!(rings_.post(d, bytes) ||
-              (rings_.flush() && rings_.post(d, bytes)))) {
-            ++stats_.tx_ring_full;
-            if (!retry_armed_) {
-                retry_armed_ = true;
-                eq_.schedule_in(sim::microseconds(1), [this] {
-                    retry_armed_ = false;
-                    pump_tx();
-                });
-            }
-            break;
-        }
+        if (!rings_.post(d, bytes) &&
+            !(rings_.flush() && rings_.post(d, bytes)))
+            panic("RpcServer: TX post refused after flush(); the "
+                  "doorbell must release every TX slot");
         c.out_head_off += chunk;
         if (last) {
             c.out.pop_front();

@@ -154,6 +154,8 @@ struct RpcServerStats
     uint64_t responses = 0;      ///< response frames fully posted
     uint64_t responses_acked = 0;///< tagged TxDone seen end-to-end
     uint64_t decode_errors = 0;  ///< connections with poisoned streams
+    /** Always 0: a post refused on a full TX ring lands after
+     *  flush(), whose doorbell releases every slot. */
     uint64_t tx_ring_full = 0;
 };
 
@@ -207,7 +209,6 @@ class RpcServer
     /** Connections with queued output, FIFO, no duplicates among live
      *  ones; ids of erased connections are skipped when reached. */
     Fifo<uint32_t> send_ready_;
-    bool retry_armed_ = false;
     uint32_t response_seq_ = 0; ///< tags for tagged TxDone completions
     RpcServerStats stats_;
 };
