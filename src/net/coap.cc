@@ -1,5 +1,7 @@
 #include "net/coap.h"
 
+#include <algorithm>
+
 #include "util/bitops.h"
 
 namespace fld::net {
@@ -35,13 +37,14 @@ nibble_of(uint32_t value)
 std::vector<uint8_t>
 CoapMessage::encode() const
 {
-    std::vector<uint8_t> out;
-    out.push_back(uint8_t(0x40 | (uint8_t(type) << 4) |
-                          (token.size() & 0x0f)));
-    out.push_back(code);
-    out.push_back(uint8_t(message_id >> 8));
-    out.push_back(uint8_t(message_id));
-    out.insert(out.end(), token.begin(), token.end());
+    // The fixed header and the token are one block of known size:
+    // size the vector for it instead of growing it byte by byte.
+    std::vector<uint8_t> out(4 + token.size());
+    out[0] = uint8_t(0x40 | (uint8_t(type) << 4) | (token.size() & 0x0f));
+    out[1] = code;
+    out[2] = uint8_t(message_id >> 8);
+    out[3] = uint8_t(message_id);
+    std::copy(token.begin(), token.end(), out.begin() + 4);
 
     uint16_t prev_opt = 0;
     for (const std::string& seg : uri_path) {

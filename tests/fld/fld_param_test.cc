@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "net/headers.h"
@@ -119,9 +121,10 @@ TEST_P(FldTxSweep, EverythingSentIsDeliveredOnceAndCreditsReturn)
 
     EXPECT_EQ(int(rig.wire.size()), accepted);
     // No duplicates: embedded sequence numbers must be unique.
-    std::set<std::vector<uint8_t>> seen;
+    std::set<std::string> seen;
     for (const auto& p : rig.wire)
-        EXPECT_TRUE(seen.insert(p.data).second) << "duplicate frame";
+        EXPECT_TRUE(seen.emplace(p.data.begin(), p.data.end()).second)
+            << "duplicate frame";
 
     TxCredits after = rig.fld->tx_credits(0);
     EXPECT_EQ(after.buffer_bytes, before.buffer_bytes);
