@@ -28,14 +28,14 @@ double
 Histogram::min() const
 {
     ensure_sorted();
-    return sorted_.empty() ? 0.0 : sorted_.front();
+    return samples_.empty() ? 0.0 : samples_.front();
 }
 
 double
 Histogram::max() const
 {
     ensure_sorted();
-    return sorted_.empty() ? 0.0 : sorted_.back();
+    return samples_.empty() ? 0.0 : samples_.back();
 }
 
 double
@@ -52,16 +52,16 @@ double
 Histogram::percentile(double pct) const
 {
     ensure_sorted();
-    if (sorted_.empty())
+    if (samples_.empty())
         return std::numeric_limits<double>::quiet_NaN();
-    if (sorted_.size() == 1)
-        return sorted_.front();
-    double rank = pct / 100.0 * double(sorted_.size() - 1);
+    if (samples_.size() == 1)
+        return samples_.front();
+    double rank = pct / 100.0 * double(samples_.size() - 1);
     size_t lo = size_t(rank);
-    if (lo + 1 >= sorted_.size())
-        return sorted_.back();
+    if (lo + 1 >= samples_.size())
+        return samples_.back();
     double frac = rank - double(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
+    return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
 double
@@ -75,7 +75,6 @@ void
 Histogram::clear()
 {
     samples_.clear();
-    sorted_.clear();
     sorted_valid_ = false;
     sum_ = sum_sq_ = 0;
 }
@@ -136,8 +135,7 @@ void
 Histogram::ensure_sorted() const
 {
     if (!sorted_valid_) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
+        std::sort(samples_.begin(), samples_.end());
         sorted_valid_ = true;
     }
 }

@@ -7,8 +7,8 @@
 #define FLD_SIM_STATS_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "sim/time.h"
 
@@ -19,7 +19,10 @@ namespace fld::sim {
  *
  * The evaluation's latency tables (e.g., Table 6) need exact
  * mean/median/99th/99.9th percentiles, so samples are retained verbatim
- * rather than bucketed.
+ * rather than bucketed. Each sample is stored once: the deque grows in
+ * fixed-size blocks without copying what it holds, and the first order
+ * query after an add() sorts it in place (mean and stddev come from
+ * running sums, so insertion order is never needed again).
  */
 class Histogram
 {
@@ -57,8 +60,7 @@ class Histogram
   private:
     void ensure_sorted() const;
 
-    std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
+    mutable std::deque<double> samples_; ///< sorted when sorted_valid_
     mutable bool sorted_valid_ = false;
     double sum_ = 0;
     double sum_sq_ = 0;

@@ -1,9 +1,14 @@
 /** @file Histogram and RateMeter tests. */
 #include "sim/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace fld::sim {
 namespace {
@@ -149,6 +154,78 @@ TEST(Histogram, AddAfterPercentileQuery)
     EXPECT_DOUBLE_EQ(h.median(), 1.0);
     h.add(3.0);
     EXPECT_DOUBLE_EQ(h.median(), 2.0); // resorted after mutation
+}
+
+/** Order statistics of @p xs by sorting a copy: the reference the
+ *  in-place Histogram must reproduce exactly. */
+double
+reference_p(std::vector<double> xs, double q)
+{
+    if (xs.empty())
+        return std::nan("");
+    std::sort(xs.begin(), xs.end());
+    if (xs.size() == 1)
+        return xs.front();
+    double rank = q * 100.0 / 100.0 * double(xs.size() - 1); // as p()
+    size_t lo = size_t(rank);
+    if (lo + 1 >= xs.size())
+        return xs.back();
+    double frac = rank - double(lo);
+    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
+}
+
+void
+expect_matches(const Histogram& h, const std::vector<double>& xs)
+{
+    ASSERT_EQ(h.count(), xs.size());
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+        double want = reference_p(xs, q);
+        if (std::isnan(want))
+            EXPECT_TRUE(std::isnan(h.p(q))) << q;
+        else
+            EXPECT_EQ(h.p(q), want) << q; // exact, not near
+    }
+    if (xs.empty())
+        return;
+    EXPECT_EQ(h.min(), *std::min_element(xs.begin(), xs.end()));
+    EXPECT_EQ(h.max(), *std::max_element(xs.begin(), xs.end()));
+}
+
+TEST(Histogram, InterleavedAddsQueriesAndCopiesMatchSortedCopy)
+{
+    Histogram h;
+    std::vector<double> xs;
+    expect_matches(h, xs); // NaN percentiles when empty
+    Rng rng(0x5747);
+    for (int round = 0; round < 40; ++round) {
+        // Batches that cross the store's block size and include
+        // duplicates, so in-place re-sorts see a sorted prefix.
+        uint64_t n = 1 + rng.uniform(300);
+        for (uint64_t i = 0; i < n; ++i) {
+            double v = double(rng.uniform(1000)) / 8.0;
+            h.add(v);
+            xs.push_back(v);
+        }
+        expect_matches(h, xs);
+        if (round % 7 == 3) {
+            Histogram copy = h;
+            copy.add(-1.0);
+            std::vector<double> ys = xs;
+            ys.push_back(-1.0);
+            expect_matches(copy, ys);
+            expect_matches(h, xs); // the original is untouched
+        }
+    }
+    EXPECT_NEAR(h.mean(),
+                std::accumulate(xs.begin(), xs.end(), 0.0) /
+                    double(xs.size()),
+                1e-9);
+    h.clear();
+    xs.clear();
+    expect_matches(h, xs);
+    h.add(2.0);
+    xs.push_back(2.0);
+    expect_matches(h, xs);
 }
 
 TEST(RateMeter, GbpsOverWindow)
