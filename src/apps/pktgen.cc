@@ -60,25 +60,26 @@ PacketGen::make_packet()
     size_t payload = frame - net::kEthHeaderLen - net::kIpv4HeaderLen -
                      net::kUdpHeaderLen;
 
-    std::vector<uint8_t> body(payload, 0);
+    // The body and the builder are reused, so the frame's own bytes
+    // are the one allocation per generated packet.
+    body_.assign(payload, 0);
     // Cookie + send timestamp for RTT matching.
     uint64_t cookie = next_cookie_++;
     if (payload >= 16) {
-        store_le64(body.data(), cookie);
-        store_le64(body.data() + 8, eq_.now());
+        store_le64(body_.data(), cookie);
+        store_le64(body_.data() + 8, eq_.now());
         if (cfg_.pattern_payload)
             for (size_t i = 16; i < payload; ++i)
-                body[i] = pattern_byte(cookie, i);
+                body_[i] = pattern_byte(cookie, i);
     }
 
     uint16_t sport =
         uint16_t(cfg_.base_sport + cookie % std::max(1u, cfg_.flows));
-    net::Packet pkt = net::PacketBuilder()
-                          .eth(kClientMac, kServerMac)
+    net::Packet pkt = builder_.eth(kClientMac, kServerMac)
                           .ipv4(cfg_.src_ip, cfg_.dst_ip,
                                 net::kIpProtoUdp)
                           .udp(sport, cfg_.dport)
-                          .payload(body)
+                          .payload(body_)
                           .build();
     if (cfg_.vxlan)
         pkt = net::vxlan_encapsulate(pkt, cfg_.vni, cfg_.vxlan_src_ip,

@@ -111,6 +111,8 @@ class PacketGen
     uint32_t queue_;
     PktGenConfig cfg_;
     Rng rng_;
+    std::vector<uint8_t> body_; ///< make_packet's payload scratch
+    net::PacketBuilder builder_;
 
     bool running_ = false;
     sim::TimePs measure_start_ = 0;
