@@ -53,4 +53,23 @@ toeplitz_ipv4(const RssKey& key, uint32_t src_ip, uint32_t dst_ip,
     return toeplitz_hash(key, input, sizeof(input));
 }
 
+RssTable::RssTable(const RssKey& key)
+{
+    uint8_t input[kMaxInput] = {};
+    for (size_t pos = 0; pos < kMaxInput; ++pos) {
+        for (uint32_t b = 0; b < 256; ++b) {
+            input[pos] = uint8_t(b);
+            table_[pos][b] = toeplitz_hash(key, input, pos + 1);
+        }
+        input[pos] = 0;
+    }
+}
+
+const RssTable&
+default_rss_table()
+{
+    static const RssTable table(default_rss_key());
+    return table;
+}
+
 } // namespace fld::net

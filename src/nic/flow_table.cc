@@ -114,13 +114,19 @@ vip_select(uint32_t pool_id)
 FlowFields
 FlowFields::of(const net::Packet& pkt, VportId vport)
 {
+    return of(pkt, net::parse(pkt), vport);
+}
+
+FlowFields
+FlowFields::of(const net::Packet& pkt, const net::ParsedPacket& pp,
+               VportId vport)
+{
     FlowFields f;
     f.in_vport = vport;
     f.flow_tag = pkt.meta.flow_tag;
     f.tunneled = pkt.meta.tunneled;
     f.vni = pkt.meta.vni;
 
-    net::ParsedPacket pp = net::parse(pkt);
     if (pp.eth)
         f.ethertype = pp.eth->ethertype;
     if (pp.ipv4) {

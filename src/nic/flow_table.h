@@ -122,6 +122,9 @@ struct FlowFields
 
     /** Extract fields from a packet entering at @p vport. */
     static FlowFields of(const net::Packet& pkt, VportId vport);
+    /** The same from @p pp, a parse of @p pkt's current bytes. */
+    static FlowFields of(const net::Packet& pkt, const net::ParsedPacket& pp,
+                         VportId vport);
 };
 
 /** A set of numbered tables with prioritized rules, plus the Count

@@ -12,11 +12,11 @@ namespace fld::nic {
 
 namespace {
 
-/** Recompute IPv4 and L4 checksums in place (TX checksum offload). */
+/** Recompute IPv4 and L4 checksums in place (TX checksum offload).
+ *  @p pp is the parse of @p pkt; its checksum fields follow the bytes. */
 void
-fix_checksums(net::Packet& pkt)
+fix_checksums(net::Packet& pkt, net::ParsedPacket& pp)
 {
-    net::ParsedPacket pp = net::parse(pkt);
     if (!pp.ipv4)
         return;
     uint8_t* p = pkt.bytes();
@@ -26,6 +26,7 @@ fix_checksums(net::Packet& pkt)
     p[pp.l3_offset + 11] = 0;
     uint16_t hc = net::ipv4_header_checksum(p + pp.l3_offset, ihl);
     store_be16(p + pp.l3_offset + 10, hc);
+    pp.ipv4->checksum = hc;
 
     if (pp.ipv4->is_fragment())
         return; // L4 checksum spans the whole datagram; cannot fix here
@@ -38,12 +39,14 @@ fix_checksums(net::Packet& pkt)
                                       net::kIpProtoUdp, p + pp.l4_offset,
                                       l4_len);
         store_be16(p + pp.l4_offset + 6, c);
+        pp.udp->checksum = c;
     } else if (pp.tcp) {
         store_be16(p + pp.l4_offset + 16, 0);
         uint16_t c = net::l4_checksum(pp.ipv4->src, pp.ipv4->dst,
                                       net::kIpProtoTcp, p + pp.l4_offset,
                                       l4_len);
         store_be16(p + pp.l4_offset + 16, c);
+        pp.tcp->checksum = c;
     }
 }
 
@@ -351,9 +354,10 @@ NicDevice::maybe_fetch_wqes(uint32_t sqn)
         if (auto* tr = sim::Tracer::active())
             tr->emit(eq_.now(), sim::TraceEventKind::WqeFetch, name_, "sq",
                      0, sqn, first, n, uint64_t(n) * kWqeStride);
+        // Descriptor reads decode in place: the fabric keeps the buffer.
         fabric_.read(
             dma_port_, addr, size_t(n) * kWqeStride,
-            [this, sqn, n](std::vector<uint8_t> data) {
+            [this, sqn, n](std::vector<uint8_t>& data) {
                 auto it2 = sqs_.find(sqn);
                 if (it2 == sqs_.end())
                     return;
@@ -378,10 +382,7 @@ NicDevice::execute_wqe(uint32_t sqn, Wqe wqe)
     uint64_t seq = it->second.next_exec_seq++;
 
     if (wqe.opcode == WqeOpcode::Nop || wqe.byte_count == 0) {
-        it->second.ready.emplace(seq,
-                                 std::make_pair(wqe,
-                                                std::vector<uint8_t>{}));
-        retire_ready_wqes(sqn);
+        wqe_ready(sqn, seq, wqe, {});
         return;
     }
     // Gather the payload from wherever the descriptor points (host
@@ -391,36 +392,49 @@ NicDevice::execute_wqe(uint32_t sqn, Wqe wqe)
         tr->emit(eq_.now(), sim::TraceEventKind::PayloadRead, name_,
                  it->second.is_rdma ? "rdma" : "eth", wqe.corr, sqn,
                  wqe.wqe_index, 1, wqe.byte_count);
+    // The payload read's buffer becomes the frame: take ownership.
     fabric_.read(dma_port_, wqe.addr, wqe.byte_count,
-                 [this, sqn, seq, wqe](std::vector<uint8_t> payload) {
-                     auto it2 = sqs_.find(sqn);
-                     if (it2 == sqs_.end())
-                         return;
-                     it2->second.ready.emplace(
-                         seq, std::make_pair(wqe, std::move(payload)));
-                     retire_ready_wqes(sqn);
+                 [this, sqn, seq, wqe](std::vector<uint8_t>& payload) {
+                     wqe_ready(sqn, seq, wqe, std::move(payload));
                  });
 }
 
 void
-NicDevice::retire_ready_wqes(uint32_t sqn)
+NicDevice::wqe_ready(uint32_t sqn, uint64_t seq, const Wqe& wqe,
+                     std::vector<uint8_t> payload)
 {
     auto it = sqs_.find(sqn);
     if (it == sqs_.end())
         return;
     SqState& sq = it->second;
-    while (!sq.ready.empty() &&
-           sq.ready.begin()->first == sq.next_retire_seq) {
-        auto [wqe, payload] = std::move(sq.ready.begin()->second);
-        sq.ready.erase(sq.ready.begin());
+    uint64_t window = seq - sq.next_retire_seq + 1;
+    if (window > sq.ready.size()) {
+        if (window > sq.cfg.entries)
+            panic("%s: sq %u has more than its %u entries outstanding",
+                  name_.c_str(), sqn, sq.cfg.entries);
+        size_t cap = std::max<size_t>(sq.ready.size(), 4);
+        while (cap < window)
+            cap *= 2;
+        std::vector<ReadyWqe> grown(std::min<size_t>(cap, sq.cfg.entries));
+        for (uint64_t s = sq.next_retire_seq;
+             s < sq.next_retire_seq + sq.ready.size(); ++s)
+            grown[s % grown.size()] = std::move(sq.ready[s % sq.ready.size()]);
+        sq.ready = std::move(grown);
+    }
+    sq.ready[seq % sq.ready.size()] = {true, wqe, std::move(payload)};
+
+    for (;;) {
+        ReadyWqe& r = sq.ready[sq.next_retire_seq % sq.ready.size()];
+        if (!r.filled)
+            break;
+        r.filled = false;
         sq.next_retire_seq++;
-        if (wqe.opcode == WqeOpcode::Nop) {
-            sq_complete(sqn, wqe);
-        } else if (sq.is_rdma) {
-            rdma_send(sq.qpn, wqe, std::move(payload));
-        } else {
-            eth_send(sqn, wqe, std::move(payload));
-        }
+        if (r.wqe.opcode == WqeOpcode::Nop)
+            sq_complete(sqn, r.wqe);
+        else if (sq.is_rdma)
+            rdma_send(sq.qpn, r.wqe, std::move(r.payload));
+        else
+            eth_send(sqn, r.wqe, std::move(r.payload));
     }
 }
 
@@ -433,7 +447,8 @@ NicDevice::eth_send(uint32_t sqn, const Wqe& wqe,
     pkt.meta.next_table = wqe.next_table;
     pkt.meta.queue_id = uint16_t(sqn);
     pkt.meta.corr = wqe.corr;
-    fix_checksums(pkt); // TX checksum offload
+    // TX checksum offload runs at the start of the egress pipeline
+    // pass, on that pass's parse: nothing reads the bytes before it.
 
     stats_.tx_packets++;
     stats_.tx_bytes += pkt.size();
@@ -479,7 +494,7 @@ NicDevice::shaped_egress(uint32_t sqn, net::Packet&& pkt)
     sim::TimePs when = start + kPipelineLatency;
     eq_.schedule_at(when, [this, vport, start_table,
                            pkt = std::move(pkt)]() mutable {
-        run_pipeline(std::move(pkt), vport, start_table);
+        run_pipeline(std::move(pkt), vport, start_table, true);
     });
 }
 
@@ -489,11 +504,17 @@ NicDevice::shaped_egress(uint32_t sqn, net::Packet&& pkt)
 
 void
 NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
-                        uint32_t start_table)
+                        uint32_t start_table, bool tx_offload)
 {
+    // The pass's one parse. Checksum offload, steering, RSS, the RX
+    // checksum checks and the CQE fragment flag all read it; only the
+    // actions that rewrite bytes (NAT, VXLAN decap/encap) parse again.
+    net::ParsedPacket pp = net::parse(pkt);
+    if (tx_offload)
+        fix_checksums(pkt, pp);
     Pipeline& pipe = steering_pipeline();
     uint32_t table = start_table;
-    FlowFields fields = FlowFields::of(pkt, in_vport);
+    FlowFields fields = FlowFields::of(pkt, pp, in_vport);
 
     for (int depth = 0; depth < Pipeline::kMaxDepth; ++depth) {
         const Action* acts = nullptr;
@@ -535,8 +556,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                              name_, "decap", pkt.meta.corr, 0, 0, 1,
                              inner->size());
                 pkt = std::move(*inner);
-                fields = FlowFields::of(pkt, in_vport);
-                fields.flow_tag = pkt.meta.flow_tag;
+                pp = net::parse(pkt);
+                fields = FlowFields::of(pkt, pp, in_vport);
                 break;
               }
               case ActionType::VxlanEncap: {
@@ -549,7 +570,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                     tr->emit(eq_.now(), sim::TraceEventKind::Tunnel,
                              name_, "encap", pkt.meta.corr, 0, 0, 1,
                              pkt.size());
-                fields = FlowFields::of(pkt, in_vport);
+                pp = net::parse(pkt);
+                fields = FlowFields::of(pkt, pp, in_vport);
                 break;
               }
               case ActionType::Meter: {
@@ -565,21 +587,23 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 table = act.arg0;
                 break; // continue outer loop
               case ActionType::ForwardVport:
-                deliver_to_vport(VportId(act.arg0), std::move(pkt));
+                deliver_to_vport(VportId(act.arg0), std::move(pkt), pp);
                 return;
               case ActionType::ForwardTir:
-                deliver_to_tir(act.arg0, std::move(pkt));
+                deliver_to_tir(act.arg0, std::move(pkt), pp);
                 return;
               case ActionType::ForwardQueue:
-                offload_rx_checks(pkt);
-                deliver_to_rq(act.arg0, std::move(pkt));
+                offload_rx_checks(pkt, pp);
+                deliver_to_rq(act.arg0, std::move(pkt),
+                              pp.is_ip_fragment());
                 return;
               case ActionType::SendToAccel:
                 // FLD-E acceleration action: annotate with the table to
                 // resume at, then deliver to the accelerator's RQ.
                 pkt.meta.next_table = act.arg1;
-                offload_rx_checks(pkt);
-                deliver_to_rq(act.arg0, std::move(pkt));
+                offload_rx_checks(pkt, pp);
+                deliver_to_rq(act.arg0, std::move(pkt),
+                              pp.is_ip_fragment());
                 return;
               case ActionType::Drop:
                 stats_.drops_rule++;
@@ -590,8 +614,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 emit(NicEvent::Type::AclDeny, act.arg0);
                 return;
               case ActionType::NatRewrite:
-                nat_rewrite_packet(pkt, act);
-                fields = FlowFields::of(pkt, in_vport);
+                nat_rewrite_packet(pkt, pp, act);
+                fields = FlowFields::of(pkt, pp, in_vport);
                 break;
               case ActionType::VipSelect: {
                 auto pit = vip_pools_.find(act.arg0);
@@ -602,8 +626,8 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
                 }
                 Action nat = nat_dst(
                     select_vip_backend(pit->second, fields));
-                nat_rewrite_packet(pkt, nat);
-                fields = FlowFields::of(pkt, in_vport);
+                nat_rewrite_packet(pkt, pp, nat);
+                fields = FlowFields::of(pkt, pp, in_vport);
                 break;
               }
             }
@@ -622,9 +646,9 @@ NicDevice::run_pipeline(net::Packet&& pkt, VportId in_vport,
 }
 
 void
-NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
+NicDevice::nat_rewrite_packet(net::Packet& pkt, net::ParsedPacket& pp,
+                              const Action& act)
 {
-    net::ParsedPacket pp = net::parse(pkt);
     if (!pp.ipv4)
         return;
     uint8_t* p = pkt.bytes();
@@ -641,32 +665,34 @@ NicDevice::nat_rewrite_packet(net::Packet& pkt, const Action& act)
     }
     // The pseudo-header covers the rewritten addresses, so both
     // checksums go stale; refresh them like TX offload does.
-    fix_checksums(pkt);
+    pp = net::parse(pkt);
+    fix_checksums(pkt, pp);
 }
 
 void
-NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt)
+NicDevice::deliver_to_vport(VportId vport, net::Packet&& pkt,
+                            const net::ParsedPacket& pp)
 {
     if (vport == kUplinkVport) {
         uplink_.transmit(std::move(pkt));
         return;
     }
     // Hardware-transport packets are consumed by the RDMA engine.
-    net::ParsedPacket pp = net::parse(pkt);
     if (pp.eth && pp.eth->ethertype == kEtherTypeRoce) {
         rdma_rx(vport, std::move(pkt));
         return;
     }
     auto dit = vport_default_tir_.find(vport);
     if (dit != vport_default_tir_.end()) {
-        deliver_to_tir(dit->second, std::move(pkt));
+        deliver_to_tir(dit->second, std::move(pkt), pp);
         return;
     }
     stats_.drops_no_rule++;
 }
 
 void
-NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt)
+NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt,
+                          const net::ParsedPacket& pp)
 {
     auto it = tirs_.find(tir);
     if (it == tirs_.end() || it->second.rqns.empty()) {
@@ -678,26 +704,20 @@ NicDevice::deliver_to_tir(uint32_t tir, net::Packet&& pkt)
     // RSS: 4-tuple hash when L4 is visible; IP-pair hash otherwise.
     // IP fragments hide their ports, so *all* fragments between two
     // hosts collapse onto one queue — the §8.2.2 failure mode.
-    FlowFields f = FlowFields::of(pkt, 0);
-    uint32_t hash;
-    if (f.has_l4 && !f.is_fragment) {
-        hash = net::toeplitz_ipv4(net::default_rss_key(), f.src_ip,
-                                  f.dst_ip, f.sport, f.dport);
-    } else {
-        uint8_t input[8];
-        store_be32(input, f.src_ip);
-        store_be32(input + 4, f.dst_ip);
-        hash = net::toeplitz_hash(net::default_rss_key(), input, 8);
-    }
+    FlowFields f = FlowFields::of(pkt, pp, 0);
+    const net::RssTable& rss = net::default_rss_table();
+    uint32_t hash = f.has_l4 && !f.is_fragment
+                        ? rss.ipv4(f.src_ip, f.dst_ip, f.sport, f.dport)
+                        : rss.ip_pair(f.src_ip, f.dst_ip);
     pkt.meta.rss_hash = hash;
-    offload_rx_checks(pkt);
-    deliver_to_rq(rqns[hash % rqns.size()], std::move(pkt));
+    offload_rx_checks(pkt, pp);
+    deliver_to_rq(rqns[hash % rqns.size()], std::move(pkt),
+                  pp.is_ip_fragment());
 }
 
 void
-NicDevice::offload_rx_checks(net::Packet& pkt)
+NicDevice::offload_rx_checks(net::Packet& pkt, const net::ParsedPacket& pp)
 {
-    net::ParsedPacket pp = net::parse(pkt);
     pkt.meta.l3_csum_ok = false;
     pkt.meta.l4_csum_ok = false;
     if (!pp.ipv4)
@@ -774,7 +794,7 @@ NicDevice::maybe_fetch_rx_descs(uint32_t rqn)
                      0, rqn, first_index, n, uint64_t(n) * kRxDescStride);
         fabric_.read(
             dma_port_, addr, size_t(n) * kRxDescStride,
-            [this, rqn, n, first_index](std::vector<uint8_t> data) {
+            [this, rqn, n, first_index](std::vector<uint8_t>& data) {
                 auto it2 = rqs_.find(rqn);
                 if (it2 == rqs_.end())
                     return;
@@ -791,7 +811,7 @@ NicDevice::maybe_fetch_rx_descs(uint32_t rqn)
 }
 
 bool
-NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
+NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt, bool ip_fragment,
                          std::optional<Cqe> rdma_info)
 {
     if (rx_probe_)
@@ -861,8 +881,8 @@ NicDevice::deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
             cqe.flags |= kCqeTunneled;
         if (!rdma_info) {
             // An RDMA completion carries message payload, not a frame:
-            // only Ethernet completions are parsed for IP fragments.
-            if (net::parse(pkt).is_ip_fragment())
+            // only Ethernet completions report IP fragments.
+            if (ip_fragment)
                 cqe.flags |= kCqeIpFrag;
             // FLD-E resume table rides in the unused msg_offset field
             // for Ethernet completions.
@@ -1189,7 +1209,7 @@ NicDevice::rdma_rx(VportId vport, net::Packet&& pkt)
 
     // Receiver-not-ready: leave PSN state untouched and do not ACK,
     // so the sender's go-back-N timer retries the whole message.
-    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), info))
+    if (!deliver_to_rq(qp.cfg.rqn, std::move(payload), false, info))
         return;
 
     qp.expected_psn++;

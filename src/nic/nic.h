@@ -220,6 +220,12 @@ class NicDevice : public pcie::PcieEndpoint
 
   private:
     // ---- send path ----
+    struct ReadyWqe ///< an executed WQE whose payload is in
+    {
+        bool filled = false;
+        Wqe wqe;
+        std::vector<uint8_t> payload;
+    };
     struct SqState
     {
         SqConfig cfg;
@@ -234,7 +240,10 @@ class NicDevice : public pcie::PcieEndpoint
         // WQEs execute (send + complete) strictly in ring order.
         uint64_t next_exec_seq = 0;
         uint64_t next_retire_seq = 0;
-        std::map<uint64_t, std::pair<Wqe, std::vector<uint8_t>>> ready;
+        /// Seq-indexed ring: WQE seq waits in ready[seq % size] until
+        /// every earlier one retired. Grows by doubling, never past
+        /// cfg.entries (a driver cannot have more WQEs outstanding).
+        std::vector<ReadyWqe> ready;
     };
     // ---- receive path ----
     struct RqState
@@ -292,7 +301,9 @@ class NicDevice : public pcie::PcieEndpoint
     void doorbell_sq_inline(uint32_t sqn, uint32_t pi, const Wqe& wqe);
     void maybe_fetch_wqes(uint32_t sqn);
     void execute_wqe(uint32_t sqn, Wqe wqe);
-    void retire_ready_wqes(uint32_t sqn);
+    /** File WQE @p seq of @p sqn as ready, then retire what is in order. */
+    void wqe_ready(uint32_t sqn, uint64_t seq, const Wqe& wqe,
+                   std::vector<uint8_t> payload);
     void eth_send(uint32_t sqn, const Wqe& wqe,
                   std::vector<uint8_t> payload);
     void rdma_send(uint32_t qpn, const Wqe& wqe,
@@ -304,22 +315,33 @@ class NicDevice : public pcie::PcieEndpoint
     void doorbell_rq(uint32_t rqn, uint32_t pi);
     void maybe_fetch_rx_descs(uint32_t rqn);
     void wire_receive(net::Packet&& pkt);
-    /** Returns false when the packet was dropped for lack of buffers. */
-    bool deliver_to_rq(uint32_t rqn, net::Packet&& pkt,
+    /** Returns false when the packet was dropped for lack of buffers.
+     *  An Ethernet frame passes its pass's @p ip_fragment verdict; an
+     *  RDMA segment passes false and @p rdma_info. */
+    bool deliver_to_rq(uint32_t rqn, net::Packet&& pkt, bool ip_fragment,
                        std::optional<Cqe> rdma_info = {});
-    void deliver_to_tir(uint32_t tir, net::Packet&& pkt);
-    void deliver_to_vport(VportId vport, net::Packet&& pkt);
+    // The delivery steps below take @p pp, the pipeline pass's parse
+    // of @p pkt's current bytes.
+    void deliver_to_tir(uint32_t tir, net::Packet&& pkt,
+                        const net::ParsedPacket& pp);
+    void deliver_to_vport(VportId vport, net::Packet&& pkt,
+                          const net::ParsedPacket& pp);
 
     // pipeline
+    /** One pass of @p pkt through steering, parsed once on entry.
+     *  @p tx_offload: the frame comes from an SQ, so TX checksum
+     *  offload runs first. */
     void run_pipeline(net::Packet&& pkt, VportId in_vport,
-                      uint32_t start_table);
-    void offload_rx_checks(net::Packet& pkt);
+                      uint32_t start_table, bool tx_offload = false);
+    void offload_rx_checks(net::Packet& pkt, const net::ParsedPacket& pp);
     /** The explicit program if one is set, else the rules-derived
      *  program (recompiled first when rules changed). */
     Pipeline& steering_pipeline();
     /** Rewrite IPv4 addrs/ports per a NatRewrite-shaped action and fix
-     *  the IP header + L4 checksums; no-op on non-IPv4 packets. */
-    static void nat_rewrite_packet(net::Packet& pkt, const Action& act);
+     *  the IP header + L4 checksums; no-op on non-IPv4 packets. @p pp
+     *  is @p pkt's parse, taken again after the rewrite. */
+    static void nat_rewrite_packet(net::Packet& pkt, net::ParsedPacket& pp,
+                                   const Action& act);
 
     // rdma
     void rdma_rx(VportId vport, net::Packet&& pkt);

@@ -274,8 +274,8 @@ uint32_t
 select_vip_backend(const std::vector<uint32_t>& backends,
                    const FlowFields& f)
 {
-    uint32_t hash = net::toeplitz_ipv4(net::default_rss_key(), f.src_ip,
-                                       f.dst_ip, f.sport, f.dport);
+    uint32_t hash = net::default_rss_table().ipv4(f.src_ip, f.dst_ip,
+                                                  f.sport, f.dport);
     return backends[hash % backends.size()];
 }
 

@@ -190,6 +190,11 @@ void
 PcieFabric::read_data_ready(uint32_t idx)
 {
     ReadOp& op = read_ops_[idx];
+    if (!spare_read_bufs_.empty()) {
+        op.data = std::move(spare_read_bufs_.back());
+        spare_read_bufs_.pop_back();
+    }
+    // Zero-filled to exactly len: nothing of an earlier read survives.
     op.data.assign(op.len, 0);
     op.ep->bar_read(op.bar_off, op.data.data(), op.len);
 
@@ -234,7 +239,10 @@ PcieFabric::read_data_ready(uint32_t idx)
         std::vector<uint8_t> data = std::move(fin.data);
         // Release before invoking (the handler may start new reads).
         release_read_op(idx);
-        done(std::move(data));
+        done(data);
+        if (data.capacity() > 0 &&
+            spare_read_bufs_.size() < kMaxSpareReadBufs)
+            spare_read_bufs_.push_back(std::move(data));
     });
 }
 

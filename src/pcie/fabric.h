@@ -44,9 +44,12 @@ class PcieFabric
   public:
     /** Move-only completion handlers (sim::MoveFunction): DMA chunk
      *  fans fire thousands of these per descriptor ring spin, and the
-     *  std::function they replaced heap-allocated per operation. */
+     *  std::function they replaced heap-allocated per operation. A
+     *  read completion lends its buffer: a handler that decodes in
+     *  place leaves it, and the fabric reuses it for a later read; a
+     *  handler that keeps the bytes moves them out. */
     using OnWriteDone = sim::MoveFunction<void()>;
-    using OnReadData = sim::MoveFunction<void(std::vector<uint8_t>)>;
+    using OnReadData = sim::MoveFunction<void(std::vector<uint8_t>&)>;
 
     PcieFabric(sim::EventQueue& eq, TlpParams tlp = {})
         : eq_(eq), tlp_(tlp)
@@ -85,7 +88,8 @@ class PcieFabric
     void write(PortId from, uint64_t addr, const void* data, size_t len,
                OnWriteDone done = {});
 
-    /** Split-completion read of @p len bytes at @p addr. */
+    /** Split-completion read of @p len bytes at @p addr. @p done gets
+     *  exactly those bytes, in a buffer it may move out of. */
     void read(PortId from, uint64_t addr, size_t len, OnReadData done);
 
     const TlpParams& tlp() const { return tlp_; }
@@ -180,6 +184,9 @@ class PcieFabric
     uint32_t read_free_ = kFreeListEnd;
     std::deque<WriteOp> write_ops_;
     uint32_t write_free_ = kFreeListEnd;
+    /// Read buffers their handlers left behind, reused by later reads.
+    static constexpr size_t kMaxSpareReadBufs = 8;
+    std::vector<std::vector<uint8_t>> spare_read_bufs_;
 };
 
 } // namespace fld::pcie

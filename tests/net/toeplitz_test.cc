@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "net/headers.h"
+#include "util/bitops.h"
+#include "util/rng.h"
 
 namespace fld::net {
 namespace {
@@ -73,6 +75,48 @@ TEST(Toeplitz, SpreadsFlowsAcrossQueues)
     for (int c : hits)
         occupied += c > 0;
     EXPECT_GE(occupied, 12);
+}
+
+TEST(RssTable, MatchesMicrosoftVectors)
+{
+    const RssTable& t = default_rss_table();
+    EXPECT_EQ(t.ipv4(ipv4_addr(66, 9, 149, 187),
+                     ipv4_addr(161, 142, 100, 80), 2794, 1766),
+              0x51ccc178u);
+    EXPECT_EQ(t.ipv4(ipv4_addr(199, 92, 111, 2), ipv4_addr(65, 69, 140, 83),
+                     14230, 4739),
+              0xc626b0eau);
+}
+
+TEST(RssTable, EqualsBitSerialOnRandomTuplesAndPairs)
+{
+    const RssKey& key = default_rss_key();
+    const RssTable& t = default_rss_table();
+    Rng rng(0x7031);
+    for (int i = 0; i < 10'000; ++i) {
+        uint32_t src = uint32_t(rng.next());
+        uint32_t dst = uint32_t(rng.next());
+        uint16_t sport = uint16_t(rng.next());
+        uint16_t dport = uint16_t(rng.next());
+        ASSERT_EQ(t.ipv4(src, dst, sport, dport),
+                  toeplitz_ipv4(key, src, dst, sport, dport))
+            << i;
+        uint8_t pair[8];
+        store_be32(pair, src);
+        store_be32(pair + 4, dst);
+        ASSERT_EQ(t.ip_pair(src, dst), toeplitz_hash(key, pair, 8)) << i;
+    }
+}
+
+TEST(RssTable, OtherKeysMatchTheirBitSerialHash)
+{
+    RssKey key{};
+    for (size_t i = 0; i < key.size(); ++i)
+        key[i] = uint8_t(i * 37 + 11);
+    RssTable t(key);
+    EXPECT_EQ(t.ipv4(0x0a000001, 0xc0a80101, 40000, 443),
+              toeplitz_ipv4(key, 0x0a000001, 0xc0a80101, 40000, 443));
+    EXPECT_EQ(t.ip_pair(0, 0), 0u);
 }
 
 } // namespace

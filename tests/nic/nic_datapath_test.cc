@@ -10,6 +10,7 @@
 
 #include "net/checksum.h"
 #include "net/headers.h"
+#include "net/toeplitz.h"
 #include "nic/nic.h"
 #include "tests/nic/nic_test_fixture.h"
 
@@ -394,6 +395,131 @@ TEST(NicPipeline, NoMatchDrops)
     h.nic->uplink().deliver(net::Packet(udp_frame(64)));
     tb.eq.run();
     EXPECT_EQ(h.nic->stats().drops_no_rule, 1u);
+}
+
+TEST(NicPipeline, SteeringAfterNatSeesTheRewrittenFrame)
+{
+    // The pass parses once on entry; NAT rewrites bytes, so the next
+    // table, RSS and the checksum checks must read a fresh parse.
+    Testbed tb;
+    auto& h = *tb.a;
+    std::vector<Cqe> cqes;
+    uint32_t cqn = h.make_cq(64, &cqes);
+    auto rq = h.make_rq(64, cqn);
+    h.post_rx_buffers(rq, 2, 16, 11);
+    tb.eq.run();
+    uint32_t tir = h.nic->create_tir({{rq.rqn}});
+
+    const uint32_t new_dst = ipv4_addr(10, 9, 9, 9);
+    FlowMatch in;
+    in.in_vport = kUplinkVport;
+    in.dport = 7777;
+    h.nic->add_rule(0, 0, in, {nat_dst(new_dst, 8888), goto_table(1)});
+    FlowMatch nated;
+    nated.dst_ip = new_dst;
+    nated.dport = 8888;
+    h.nic->add_rule(1, 0, nated, {set_tag(0x77), fwd_tir(tir)});
+
+    h.nic->uplink().deliver(net::Packet(udp_frame(100, 7777)));
+    tb.eq.run();
+
+    ASSERT_EQ(cqes.size(), 1u) << "table 1 matched the rewritten tuple";
+    EXPECT_EQ(cqes[0].flow_tag, 0x77u);
+    EXPECT_EQ(cqes[0].rss_hash,
+              net::toeplitz_ipv4(net::default_rss_key(),
+                                 ipv4_addr(10, 0, 0, 1), new_dst, 1234,
+                                 8888));
+    EXPECT_TRUE(cqes[0].flags & kCqeL3Ok);
+    EXPECT_TRUE(cqes[0].flags & kCqeL4Ok);
+}
+
+TEST(NicPipeline, SteeringAfterDecapSeesTheInnerFrame)
+{
+    Testbed tb;
+    auto& h = *tb.a;
+    std::vector<Cqe> cqes;
+    uint32_t cqn = h.make_cq(64, &cqes);
+    auto rq = h.make_rq(64, cqn);
+    h.post_rx_buffers(rq, 2, 16, 11);
+    tb.eq.run();
+
+    FlowMatch vx;
+    vx.in_vport = kUplinkVport;
+    vx.dport = net::kVxlanPort;
+    h.nic->add_rule(0, 10, vx, {vxlan_decap(), goto_table(5)});
+    // Table 5 keys on the inner frame's addresses and port only.
+    FlowMatch inner_m;
+    inner_m.src_ip = ipv4_addr(10, 0, 0, 1);
+    inner_m.dport = 6000;
+    h.nic->add_rule(5, 0, inner_m, {set_tag(0x55), fwd_queue(rq.rqn)});
+
+    net::Packet inner(udp_frame(200, 6000));
+    h.nic->uplink().deliver(net::vxlan_encapsulate(
+        inner, 0x99, ipv4_addr(1, 1, 1, 1), ipv4_addr(2, 2, 2, 2), kMacA,
+        kMacB));
+    tb.eq.run();
+
+    ASSERT_EQ(cqes.size(), 1u);
+    EXPECT_EQ(cqes[0].flow_tag, 0x55u);
+    EXPECT_EQ(cqes[0].byte_count, inner.size());
+    EXPECT_TRUE(cqes[0].flags & kCqeL3Ok);
+    EXPECT_TRUE(cqes[0].flags & kCqeL4Ok);
+}
+
+TEST(NicTx, FramesLeaveWithValidL3AndL4Checksums)
+{
+    // TX checksum offload runs inside the egress pipeline pass: UDP and
+    // TCP frames posted with zeroed or corrupt checksums reach the wire
+    // with both checksums valid.
+    Testbed tb;
+    auto& h = *tb.a;
+    VportId v = h.nic->add_vport();
+    std::vector<Cqe> cqes;
+    uint32_t cqn = h.make_cq(64, &cqes);
+    auto sq = h.make_sq(64, cqn, v);
+    FlowMatch m;
+    m.in_vport = v;
+    h.nic->add_rule(0, 0, m, {fwd_vport(kUplinkVport)});
+    std::vector<net::Packet> wire;
+    h.nic->uplink().set_tx_hook(
+        [&](net::Packet&& p) { wire.push_back(std::move(p)); });
+
+    std::vector<uint8_t> udp = udp_frame(90);
+    udp[net::kEthHeaderLen + net::kIpv4HeaderLen + 6] ^= 0x5a;
+    std::vector<uint8_t> tcp = net::PacketBuilder()
+                                   .eth(kMacA, kMacB)
+                                   .ipv4(ipv4_addr(10, 0, 0, 1),
+                                         ipv4_addr(10, 0, 0, 2),
+                                         net::kIpProtoTcp)
+                                   .tcp(5000, 80, 1, 2, 0x18)
+                                   .payload(std::vector<uint8_t>(77, 3))
+                                   .build()
+                                   .data;
+    tcp[net::kEthHeaderLen + 10] = 0;
+    tcp[net::kEthHeaderLen + 11] = 0;
+    tcp[net::kEthHeaderLen + net::kIpv4HeaderLen + 16] ^= 0xff;
+    h.post_tx(sq, udp);
+    h.post_tx(sq, tcp);
+    tb.eq.run();
+
+    ASSERT_EQ(wire.size(), 2u);
+    for (const net::Packet& p : wire) {
+        net::ParsedPacket pp = net::parse(p);
+        ASSERT_TRUE(pp.ipv4);
+        EXPECT_EQ(net::internet_checksum(p.bytes() + pp.l3_offset,
+                                         net::kIpv4HeaderLen),
+                  0);
+        // Recompute over the L4 bytes with the field zeroed.
+        std::vector<uint8_t> l4(p.bytes() + pp.l4_offset,
+                                p.bytes() + pp.l3_offset +
+                                    pp.ipv4->total_len);
+        size_t field = pp.udp ? 6 : 16;
+        uint16_t stored = load_be16(l4.data() + field);
+        store_be16(l4.data() + field, 0);
+        EXPECT_EQ(net::l4_checksum(pp.ipv4->src, pp.ipv4->dst,
+                                   pp.ipv4->proto, l4.data(), l4.size()),
+                  stored);
+    }
 }
 
 TEST(NicShaping, SqRateLimitThrottlesEgress)

@@ -99,7 +99,7 @@ TEST_P(ReadSizeSweep, ReadsReturnExactBytes)
 
     std::vector<uint8_t> got;
     fabric.read(a, 100, len,
-                [&](std::vector<uint8_t> data) { got = std::move(data); });
+                [&](std::vector<uint8_t>& data) { got = std::move(data); });
     eq.run();
     EXPECT_EQ(got, seed);
 }

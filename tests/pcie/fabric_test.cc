@@ -1,6 +1,8 @@
 /** @file PCIe fabric: routing, timing, contention, TLP accounting. */
 #include "pcie/fabric.h"
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "pcie/tlp.h"
@@ -68,7 +70,7 @@ TEST(PcieFabric, ReadReturnsWrittenData)
 
     std::vector<uint8_t> got;
     f.fabric.read(f.host_port, 0x1000'0040, 8,
-                  [&](std::vector<uint8_t> data) { got = std::move(data); });
+                  [&](std::vector<uint8_t>& data) { got = std::move(data); });
     f.eq.run();
     EXPECT_EQ(got, std::vector<uint8_t>(seed, seed + 8));
 }
@@ -93,7 +95,7 @@ TEST(PcieFabric, ReadRoundTripLatency)
     Fixture f(50.0, sim::nanoseconds(150));
     sim::TimePs done_at = 0;
     f.fabric.read(f.host_port, 0x1000'0000, 64,
-                  [&](std::vector<uint8_t>) { done_at = f.eq.now(); });
+                  [&](std::vector<uint8_t>&) { done_at = f.eq.now(); });
     f.eq.run();
     // Request: 24 B wire both segments + 2 hops; completion: 88 B both
     // segments + 2 hops.
@@ -169,6 +171,57 @@ TEST(PcieFabric, ThroughputBoundedByLinkRate)
     double expect = 50.0 * 1024.0 / (1024.0 + 4 * 24);
     EXPECT_LT(goodput, 50.0);
     EXPECT_NEAR(goodput, expect, 2.0);
+}
+
+/** Answers reads without writing a byte: whatever the fabric hands
+ *  it is what the requester sees. */
+struct SilentEndpoint : PcieEndpoint
+{
+    void bar_write(uint64_t, const uint8_t*, size_t) override {}
+    void bar_read(uint64_t, uint8_t*, size_t) override {}
+};
+
+TEST(PcieFabric, ReusedReadBuffersCarryNothingOfEarlierReads)
+{
+    // Descriptor-style handlers decode in place and leave the buffer,
+    // so the fabric hands it to the next read. Back-to-back reads of
+    // different lengths must each see exactly their own bytes.
+    Fixture f;
+    SilentEndpoint silent;
+    PortId silent_port = f.fabric.add_port("silent", 50.0, 0);
+    f.fabric.attach(silent_port, &silent, 0x2000'0000, 1 << 20);
+    std::vector<uint8_t> pattern(512, 0xab);
+    f.dev.bar_write(0, pattern.data(), pattern.size());
+
+    struct Step
+    {
+        uint64_t addr;
+        size_t len;
+        uint8_t expect;
+    };
+    const Step steps[] = {{0x1000'0000, 512, 0xab}, {0x2000'0000, 64, 0},
+                          {0x1000'0000, 256, 0xab}, {0x2000'0000, 320, 0},
+                          {0x1000'0000, 16, 0xab},  {0x2000'0000, 512, 0}};
+    size_t next = 0;
+    std::vector<uint8_t> kept;
+    std::function<void()> issue = [&] {
+        const Step& st = steps[next];
+        f.fabric.read(f.host_port, st.addr, st.len,
+                      [&, st](std::vector<uint8_t>& data) {
+                          EXPECT_EQ(data, std::vector<uint8_t>(st.len,
+                                                               st.expect))
+                              << "read " << next;
+                          if (next == 2)
+                              kept = std::move(data); // a payload read
+                          if (++next < std::size(steps))
+                              issue();
+                      });
+    };
+    issue();
+    f.eq.run();
+    EXPECT_EQ(next, std::size(steps));
+    EXPECT_EQ(kept, std::vector<uint8_t>(256, 0xab))
+        << "a buffer moved out belongs to its handler";
 }
 
 TEST(PcieFabricDeath, UnmappedAddressPanics)
