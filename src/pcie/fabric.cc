@@ -57,6 +57,7 @@ PcieFabric::write(PortId from, uint64_t addr, std::vector<uint8_t> data,
 {
     uint32_t idx = acquire_write_op();
     WriteOp& op = write_ops_[idx];
+    keep_spare(op.data); // the pooled op's last buffer
     op.data = std::move(data);
     op.done = std::move(done);
     post_write(from, addr, idx);
@@ -190,9 +191,9 @@ void
 PcieFabric::read_data_ready(uint32_t idx)
 {
     ReadOp& op = read_ops_[idx];
-    if (!spare_read_bufs_.empty()) {
-        op.data = std::move(spare_read_bufs_.back());
-        spare_read_bufs_.pop_back();
+    if (!spare_bufs_.empty()) {
+        op.data = std::move(spare_bufs_.back());
+        spare_bufs_.pop_back();
     }
     // Zero-filled to exactly len: nothing of an earlier read survives.
     op.data.assign(op.len, 0);
@@ -240,10 +241,15 @@ PcieFabric::read_data_ready(uint32_t idx)
         // Release before invoking (the handler may start new reads).
         release_read_op(idx);
         done(data);
-        if (data.capacity() > 0 &&
-            spare_read_bufs_.size() < kMaxSpareReadBufs)
-            spare_read_bufs_.push_back(std::move(data));
+        keep_spare(data); // unless the handler took it
     });
+}
+
+void
+PcieFabric::keep_spare(std::vector<uint8_t>& buf)
+{
+    if (buf.capacity() > 0 && spare_bufs_.size() < kMaxSpareBufs)
+        spare_bufs_.push_back(std::move(buf));
 }
 
 uint32_t

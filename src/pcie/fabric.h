@@ -47,7 +47,8 @@ class PcieFabric
      *  std::function they replaced heap-allocated per operation. A
      *  read completion lends its buffer: a handler that decodes in
      *  place leaves it, and the fabric reuses it for a later read; a
-     *  handler that keeps the bytes moves them out. */
+     *  handler that keeps the bytes moves them out. A vector write's
+     *  buffer is likewise reused once the write is delivered. */
     using OnWriteDone = sim::MoveFunction<void()>;
     using OnReadData = sim::MoveFunction<void(std::vector<uint8_t>&)>;
 
@@ -162,6 +163,9 @@ class PcieFabric
     void read_request_arrived(uint32_t idx);
     void read_data_ready(uint32_t idx);
     void deliver_write(uint32_t idx);
+    /** Move @p buf's storage to spare_bufs_ unless it has none or the
+     *  list is full. */
+    void keep_spare(std::vector<uint8_t>& buf);
 
     /**
      * Serialize @p wire_bytes on a direction serializer; returns the
@@ -184,9 +188,11 @@ class PcieFabric
     uint32_t read_free_ = kFreeListEnd;
     std::deque<WriteOp> write_ops_;
     uint32_t write_free_ = kFreeListEnd;
-    /// Read buffers their handlers left behind, reused by later reads.
-    static constexpr size_t kMaxSpareReadBufs = 8;
-    std::vector<std::vector<uint8_t>> spare_read_bufs_;
+    /// Buffers for later reads: those read handlers left behind and
+    /// those delivered vector writes held (a frame's bytes, once in
+    /// host memory, carry the next payload read). Bounded.
+    static constexpr size_t kMaxSpareBufs = 8;
+    std::vector<std::vector<uint8_t>> spare_bufs_;
 };
 
 } // namespace fld::pcie
