@@ -147,6 +147,20 @@ BM_ToeplitzHash(benchmark::State& state)
 }
 BENCHMARK(BM_ToeplitzHash);
 
+/** The table-driven hash the NIC's RSS and VipSelect use. */
+static void
+BM_RssTable(benchmark::State& state)
+{
+    const net::RssTable& table = net::default_rss_table();
+    uint32_t sport = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            table.ipv4(0x0a000001, 0x0a000002, uint16_t(sport++), 5201));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RssTable);
+
 static void
 BM_PacketBuildParse(benchmark::State& state)
 {
